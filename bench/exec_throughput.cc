@@ -511,7 +511,6 @@ bool MeasureScript(const char* name, const Catalog& catalog,
                    const std::string& text, int machines, int nthreads,
                    std::vector<ScriptRow>* out) {
   OptimizerConfig config;
-  config.num_threads = 1;
   config.cluster.machines = machines;
   Engine engine(catalog, config);
   auto compiled = engine.Compile(text);

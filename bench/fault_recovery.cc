@@ -42,7 +42,6 @@ OptimizerConfig BenchConfig() {
   OptimizerConfig config;
   // One worker, no optimization budget: arms differ only in the fault plan,
   // so output and counter comparisons are exact, not statistical.
-  config.num_threads = 1;
   config.cluster.exec_threads = 1;
   config.budget_seconds = 1e9;
   return config;

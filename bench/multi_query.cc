@@ -85,7 +85,6 @@ OptimizerConfig BenchConfig() {
   OptimizerConfig config;
   // One worker, no optimization budget: every run of a cell is
   // deterministic, so the identity check is exact, not statistical.
-  config.num_threads = 1;
   config.cluster.exec_threads = 1;
   config.budget_seconds = 1e9;
   return config;

@@ -53,7 +53,6 @@ double HitRate(long hits, long misses) {
 bool RunOnce(const Catalog& catalog, const std::string& text, bool trace,
              Run* out) {
   OptimizerConfig config;
-  config.num_threads = 1;
   config.trace_rounds = trace;
   config.budget_seconds = 1e9;  // identical results require no budget stop
   Engine engine(catalog, config);

@@ -89,22 +89,16 @@ Result<OptimizedScript> Engine::Optimize(const CompiledScript& script,
 Result<Engine::Comparison> Engine::Compare(const std::string& source) const {
   Comparison out;
   SCX_ASSIGN_OR_RETURN(out.compiled, Compile(source));
-  if (config_.num_threads > 1) {
-    // The two optimizer runs are fully independent (fresh memo and registry
-    // each); overlap them.
-    std::optional<Result<OptimizedScript>> conv;
-    std::thread conv_thread([&] {
-      conv.emplace(Optimize(out.compiled, OptimizerMode::kConventional));
-    });
-    Result<OptimizedScript> cse = Optimize(out.compiled, OptimizerMode::kCse);
-    conv_thread.join();
-    SCX_ASSIGN_OR_RETURN(out.conventional, std::move(*conv));
-    SCX_ASSIGN_OR_RETURN(out.cse, std::move(cse));
-  } else {
-    SCX_ASSIGN_OR_RETURN(out.conventional,
-                         Optimize(out.compiled, OptimizerMode::kConventional));
-    SCX_ASSIGN_OR_RETURN(out.cse, Optimize(out.compiled, OptimizerMode::kCse));
-  }
+  // The two optimizer runs are fully independent (fresh memo and registry
+  // each); overlap them.
+  std::optional<Result<OptimizedScript>> conv;
+  std::thread conv_thread([&] {
+    conv.emplace(Optimize(out.compiled, OptimizerMode::kConventional));
+  });
+  Result<OptimizedScript> cse = Optimize(out.compiled, OptimizerMode::kCse);
+  conv_thread.join();
+  SCX_ASSIGN_OR_RETURN(out.conventional, std::move(*conv));
+  SCX_ASSIGN_OR_RETURN(out.cse, std::move(cse));
   out.cost_ratio = out.conventional.cost() > 0
                        ? out.cse.cost() / out.conventional.cost()
                        : 1.0;

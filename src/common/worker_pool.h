@@ -9,8 +9,8 @@
 
 namespace scx {
 
-/// Default parallelism for the optimizer's phase-2 rounds and the
-/// executor's partition evaluation: the SCX_NUM_THREADS environment
+/// Default parallelism for the executor's partition evaluation
+/// (ClusterConfig::exec_threads = 0): the SCX_NUM_THREADS environment
 /// variable when set to a positive integer, otherwise the hardware
 /// concurrency.
 int DefaultNumThreads();
@@ -21,10 +21,9 @@ int DefaultNumThreads();
 /// independent; the caller is responsible for making their writes disjoint.
 ///
 /// Run is not reentrant — a job must never call Run on the same pool (the
-/// optimizer guarantees this by keeping nested-LCA rounds serial, the
-/// executor by structuring each operator as a sequence of flat job lists —
-/// per-partition passes and (partition, morsel) passes — with all fan-out
-/// decided before the Run call, never from inside a job).
+/// executor guarantees this by structuring each operator as a sequence of
+/// flat job lists — per-partition passes and (partition, morsel) passes —
+/// with all fan-out decided before the Run call, never from inside a job).
 class WorkerPool {
  public:
   /// `threads` is the total parallelism including the calling thread;

@@ -226,35 +226,6 @@ void OptimizationContext::Freeze() {
     for (GroupId g : topo) EnsureExplored(g);
   }
 
-  // Precompute which LCAs have another LCA reachable strictly below them:
-  // their rounds recursively trigger inner rounds, so the scheduler keeps
-  // them serial (a round task never spawns nested parallel rounds).
-  if (shared_.has_value()) {
-    std::set<GroupId> lcas;
-    for (GroupId s : shared_->shared_groups()) lcas.insert(shared_->LcaOf(s));
-    for (GroupId l : lcas) {
-      std::set<GroupId> seen{l};
-      std::vector<GroupId> stack{l};
-      bool nested = false;
-      while (!stack.empty() && !nested) {
-        GroupId g = stack.back();
-        stack.pop_back();
-        for (const GroupExpr& e : memo_.group(g).exprs()) {
-          for (GroupId c : e.children) {
-            if (!seen.insert(c).second) continue;
-            if (lcas.count(c) != 0) {
-              nested = true;
-              break;
-            }
-            stack.push_back(c);
-          }
-          if (nested) break;
-        }
-      }
-      if (nested) nested_lcas_.insert(l);
-    }
-  }
-
   // Materialize shared-below as dense sorted vectors so the enforcement
   // signature can walk them without a map lookup per probe. Recomputed
   // bottom-up over the post-fixpoint memo rather than copied from

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/worker_pool.h"
 #include "core/fingerprint.h"
 #include "core/property_history.h"
 #include "core/props_interner.h"
@@ -52,10 +51,6 @@ struct OptimizerConfig {
   bool rank_properties = true;             ///< Sec. VIII-C
   /// Record a RoundTraceEntry per phase-2 round in the diagnostics.
   bool trace_rounds = true;
-  /// Worker threads for phase-2 round evaluation. 1 = the exact legacy
-  /// serial path; >1 evaluates the rounds of an independence class
-  /// concurrently with bit-identical results (see docs/architecture.md).
-  int num_threads = DefaultNumThreads();
   CseIdentifyOptions cse;
 };
 
@@ -72,9 +67,7 @@ struct RoundTraceEntry {
 
 /// Per-run cache/pruning instrumentation of the group-optimization
 /// recursion (winner cache, spool-base cache, interner, branch-and-bound).
-/// Counts are totals over the whole run; with num_threads > 1, worker
-/// overlays recompute some entries redundantly, so hit/miss totals depend
-/// on the thread count even though the chosen plan does not.
+/// Counts are totals over the whole run and reproducible run to run.
 struct OptCacheCounters {
   long winner_hits = 0;
   long winner_misses = 0;
@@ -87,15 +80,6 @@ struct OptCacheCounters {
   /// best cost already observed in the round's independence class.
   long pruned_rounds = 0;
   long interner_size = 0;  ///< distinct RequiredProps values interned
-
-  void MergeFrom(const OptCacheCounters& o) {
-    winner_hits += o.winner_hits;
-    winner_misses += o.winner_misses;
-    spool_hits += o.spool_hits;
-    spool_misses += o.spool_misses;
-    pruned_alternatives += o.pruned_alternatives;
-    pruned_rounds += o.pruned_rounds;
-  }
 };
 
 /// Measurements and derived facts exposed alongside the chosen plan.
@@ -143,9 +127,9 @@ struct OptimizeResult {
 /// rules append memo expressions, requirements are recorded into histories,
 /// the estimator derives NDVs. Freeze() then (a) ranks histories
 /// (Sec. VIII-C), (b) explores every reachable group to fixpoint so phase 2
-/// never mutates the memo, and (c) precomputes which LCAs contain another
-/// LCA strictly below them. After Freeze() the context is immutable and may
-/// be read concurrently from any number of RoundTask threads.
+/// never mutates the memo, and (c) precomputes the sorted shared-below
+/// sets the enforcement signature walks. After Freeze() the context is
+/// immutable.
 class OptimizationContext {
  public:
   OptimizationContext(Memo memo, ColumnRegistryPtr columns,
@@ -173,8 +157,8 @@ class OptimizationContext {
   void CreditDelivered(GroupId g, const DeliveredProps& delivered);
   /// Runs SharedInfo::Compute over the (restructured) memo.
   void ComputeSharedInfo();
-  /// Rank histories, explore all groups to fixpoint, precompute nested-LCA
-  /// reachability, and make the context immutable.
+  /// Rank histories, explore all groups to fixpoint, precompute the sorted
+  /// shared-below sets, and make the context immutable.
   void Freeze();
 
   // --- read-only API (safe from any thread once frozen) ---
@@ -192,7 +176,7 @@ class OptimizationContext {
   const PropertyHistory* HistoryOf(GroupId g) const;
   /// Interns a property set to its dense run-local id (thread-safe; the
   /// interner is the one mutable member that stays live after Freeze —
-  /// phase-2 workers may still encounter new requirement sets).
+  /// phase-2 rounds may still encounter new requirement sets).
   PropsId InternProps(const RequiredProps& props) const {
     return props_interner_.Intern(props);
   }
@@ -213,9 +197,6 @@ class OptimizationContext {
   /// with CSE).
   double PlanCost(const PhysicalNodePtr& plan) const;
   bool frozen() const { return frozen_; }
-  /// True when LCA `g` has another LCA reachable strictly below it — its
-  /// rounds recursively trigger inner rounds and must run serially.
-  bool HasNestedLca(GroupId g) const { return nested_lcas_.count(g) != 0; }
 
  private:
   Memo memo_;
@@ -232,7 +213,6 @@ class OptimizationContext {
   std::optional<SharedInfo> shared_;
   std::vector<GroupId> script_roots_;
   std::set<GroupId> explored_;
-  std::set<GroupId> nested_lcas_;
   bool frozen_ = false;
 };
 

@@ -17,10 +17,9 @@ namespace scx {
 ///    histories). Built during phase 1, frozen immutable before phase 2.
 ///  * RoundTask — the group-optimization recursion (Algorithms 2, 4, 5)
 ///    plus the state one pass mutates: winner cache, spool-base cache, the
-///    active enforcement assignment. Forkable for parallel rounds.
-///  * RoundScheduler — executes the phase-2 rounds of each LCA, serially or
-///    on a thread pool (OptimizerConfig::num_threads), with deterministic,
-///    bit-identical-to-serial results.
+///    active enforcement assignment.
+///  * RoundScheduler — executes the phase-2 rounds of each LCA one after
+///    another on the task and enforces the round budget.
 ///
 /// This class only orchestrates: phase 1 (bottom-up required-properties
 /// optimization with history recording), shared-group propagation and LCA
@@ -56,9 +55,9 @@ class Optimizer {
   /// two or more script roots. No-op for single-script runs.
   void ComputeCrossScriptSharing();
 
-  // Declaration order is destruction-critical: the scheduler's pool threads
-  // and the master task both reference the context, so they are destroyed
-  // first (members are destroyed in reverse order).
+  // Declaration order is destruction-critical: the scheduler and the master
+  // task both reference the context, so they are destroyed first (members
+  // are destroyed in reverse order).
   std::unique_ptr<OptimizationContext> ctx_;
   std::unique_ptr<RoundScheduler> scheduler_;
   std::unique_ptr<RoundTask> master_;

@@ -14,7 +14,7 @@ namespace scx {
 
 /// Dense id for one distinct RequiredProps value within one optimization
 /// run. Ids are only meaningful inside the run that produced them (the
-/// assignment order depends on which thread interns a new set first), but
+/// assignment order is the order sets are first interned), but
 /// the props → id mapping itself is stable: equal property sets always get
 /// equal ids, which is all the winner-cache keys need.
 using PropsId = int32_t;
@@ -26,10 +26,12 @@ using PropsId = int32_t;
 /// RoundTask::OptimizeGroup, histories via OptimizationContext::
 /// RecordHistory).
 ///
-/// Thread-safe: phase-2 worker tasks may intern requirement sets that only
-/// arise under a particular round's enforcement (e.g. join follower
-/// requirements pinned to a driver's delivered scheme). Lookups take a
-/// shared lock; the rare first-time insert upgrades to an exclusive lock.
+/// Interning stays live after the context freezes: phase-2 rounds may meet
+/// requirement sets that only arise under a particular round's enforcement
+/// (e.g. a join follower's requirement pinned to the other side's delivered
+/// scheme).
+/// Thread-safe: lookups take a shared lock; the rare first-time insert
+/// upgrades to an exclusive lock.
 class PropsInterner {
  public:
   PropsId Intern(const RequiredProps& props) {

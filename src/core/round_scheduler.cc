@@ -15,26 +15,18 @@ RoundScheduler::RoundScheduler(const OptimizationContext* ctx,
                                OptimizeDiagnostics* diag)
     : ctx_(ctx),
       diag_(diag),
-      phase2_start_(std::chrono::steady_clock::now()),
-      best_cost_seen_(kInf) {}
+      phase2_start_(std::chrono::steady_clock::now()) {}
 
 void RoundScheduler::StartPhase2() {
   phase2_start_ = std::chrono::steady_clock::now();
 }
 
 bool RoundScheduler::BudgetExceeded() const {
-  if (budget_exhausted_.load(std::memory_order_relaxed)) return true;
+  if (budget_exhausted_) return true;
   double elapsed = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - phase2_start_)
                        .count();
   return elapsed > ctx_->config().budget_seconds;
-}
-
-void RoundScheduler::NoteBestCost(double cost) {
-  double cur = best_cost_seen_.load(std::memory_order_relaxed);
-  while (cost < cur && !best_cost_seen_.compare_exchange_weak(
-                           cur, cost, std::memory_order_relaxed)) {
-  }
 }
 
 PhysicalNodePtr RoundScheduler::RunRoundsAt(RoundTask* task, GroupId g,
@@ -43,19 +35,12 @@ PhysicalNodePtr RoundScheduler::RunRoundsAt(RoundTask* task, GroupId g,
   const SharedInfo& shared = *ctx_->shared_info();
   std::vector<GroupId> here = shared.SharedGroupsWithLca(g);
 
-  // Diagnostics are written single-threaded by the master walk. Workers
-  // never reach rounds (parallelism is restricted to LCAs without nested
-  // LCAs), but if that invariant ever broke, their counts go to a scratch
-  // sink rather than racing the shared one.
-  OptimizeDiagnostics scratch;
-  OptimizeDiagnostics* sink = task->worker() ? &scratch : diag_;
-
   if (ctx_->mode() == OptimizerMode::kNaiveSharing) {
     // Related-work baseline: exactly one round per LCA, every shared group
     // enforced with NO requirement — i.e. the locally cheapest shared plan,
     // which all consumers must then compensate above (paper Secs. I-II).
-    sink->rounds_planned += 1;
-    ++sink->rounds_executed;
+    diag_->rounds_planned += 1;
+    ++diag_->rounds_executed;
     RoundAssignment naive;
     for (GroupId s : here) naive[s] = kNaiveEntryIndex;
     task->InstallAssignment(naive);
@@ -105,140 +90,51 @@ PhysicalNodePtr RoundScheduler::RunRoundsAt(RoundTask* task, GroupId g,
   }
 
   RoundEnumerator enumerator(classes, sizes);
-  sink->rounds_planned += enumerator.TotalRounds();
-
-  // Rounds of one class are mutually independent, so they can be evaluated
-  // concurrently; the enumerator only makes pinning decisions at class
-  // boundaries. Nested-LCA rounds stay serial: a worker must never spawn
-  // its own parallel batch.
-  bool parallel = !task->worker() && config.num_threads > 1 &&
-                  ctx_->mode() == OptimizerMode::kCse && !ctx_->HasNestedLca(g);
+  diag_->rounds_planned += enumerator.TotalRounds();
 
   PhysicalNodePtr best;
   double best_cost = kInf;
 
-  // Class-local branch-and-bound across rounds (serial loop only: a batch
-  // hands out a whole class at once, so no earlier same-class cost exists).
-  // Active only while the round trace is off — a pruned round has no exact
-  // cost to record, and the determinism contract promises the traced cost
-  // stream bit-identical to the unpruned path. Pruning never changes the
-  // winner or the class pin: a finite bound was achieved by an EARLIER
-  // round of the same class, and a pruned round's true cost is >= that
-  // bound, so it loses both strict-`<` comparisons either way.
+  // Class-local branch-and-bound across rounds. Active only while the round
+  // trace is off — a pruned round has no exact cost to record, and the
+  // determinism contract promises the traced cost stream bit-identical to
+  // the unpruned path. Pruning never changes the winner or the class pin: a
+  // finite bound was achieved by an EARLIER round of the same class, and a
+  // pruned round's true cost is >= that bound, so it loses both strict-`<`
+  // comparisons either way.
   bool round_bound = !config.trace_rounds &&
                      ctx_->mode() == OptimizerMode::kCse;
 
-  if (!parallel) {
-    RoundAssignment assignment;
-    while (enumerator.Next(&assignment)) {
-      if (BudgetExceeded() || sink->rounds_executed >= config.max_rounds) {
-        budget_exhausted_.store(true, std::memory_order_relaxed);
-        sink->budget_exhausted = true;
-        break;
-      }
-      ++sink->rounds_executed;
-      double bound = round_bound ? enumerator.BestCostInClass() : kInf;
-      task->InstallAssignment(assignment);
-      double cost;
-      PhysicalNodePtr plan = task->LogPhysOpt(g, req, &cost, bound);
-      task->RemoveAssignment(assignment);
-      if (plan == nullptr && bound < kInf) ++task->counters_.pruned_rounds;
-      enumerator.ReportCost(cost);
-      if (plan != nullptr && cost < best_cost) {
-        best = plan;
-        best_cost = cost;
-        NoteBestCost(cost);
-      }
-      if (config.trace_rounds) {
-        RoundTraceEntry entry;
-        entry.lca = g;
-        entry.round_index = sink->rounds_executed;
-        entry.assignment = assignment;
-        entry.cost = cost;
-        entry.best_so_far = best_cost;
-        sink->round_trace.push_back(std::move(entry));
-      }
+  RoundAssignment assignment;
+  while (enumerator.Next(&assignment)) {
+    if (BudgetExceeded() || diag_->rounds_executed >= config.max_rounds) {
+      budget_exhausted_ = true;
+      diag_->budget_exhausted = true;
+      break;
     }
-  } else {
-    EnsurePool();
-    std::vector<RoundAssignment> batch;
-    bool stopped = false;
-    while (!stopped && enumerator.NextBatch(&batch)) {
-      // One forked task per round: each reads the master's caches through
-      // an immutable base pointer and records into its own overlay. The
-      // master thread participates in evaluation, so its caches are not
-      // touched until the batch is applied below.
-      std::vector<RoundTask> workers;
-      workers.reserve(batch.size());
-      for (size_t i = 0; i < batch.size(); ++i) workers.push_back(task->Fork());
-      std::vector<RoundResult> results(batch.size());
-      pool_->Run(batch.size(), [&](size_t i) {
-        results[i] = workers[i].EvaluateRound(g, req, batch[i]);
-      });
-
-      // Apply in enumeration order — this replays the serial loop exactly:
-      // same round numbering, same strict-< winner updates. Worker cache
-      // OVERLAYS are discarded (only their counters merge): a cache VALUE
-      // is a pure function of its key, but its pointer identities are not —
-      // two workers that each compute the same spool base embed distinct
-      // instances of the same sub-DAG into their other entries, and a later
-      // round mixing entries of different provenance would double-count
-      // that subtree under DAG costing (the serial loop never does: its
-      // single evolving cache hands every entry the same instance). The
-      // class's pinned round is instead re-evaluated serially below, which
-      // rebuilds exactly its closure in the master cache with serial-
-      // consistent sharing.
-      std::vector<double> costs;
-      costs.reserve(batch.size());
-      double prev_best = best_cost;
-      long pin = -1;  // batch index of the class pin (strict <, first wins)
-      double pin_cost = kInf;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (BudgetExceeded() || sink->rounds_executed >= config.max_rounds ||
-            results[i].budget_skipped) {
-          budget_exhausted_.store(true, std::memory_order_relaxed);
-          sink->budget_exhausted = true;
-          stopped = true;
-          break;
-        }
-        ++sink->rounds_executed;
-        if (results[i].plan != nullptr && results[i].cost < pin_cost) {
-          pin = static_cast<long>(i);
-          pin_cost = results[i].cost;
-        }
-        if (results[i].plan != nullptr && results[i].cost < best_cost) {
-          best = results[i].plan;
-          best_cost = results[i].cost;
-          NoteBestCost(best_cost);
-        }
-        if (config.trace_rounds) {
-          RoundTraceEntry entry;
-          entry.lca = g;
-          entry.round_index = sink->rounds_executed;
-          entry.assignment = batch[i];
-          entry.cost = results[i].cost;
-          entry.best_so_far = best_cost;
-          sink->round_trace.push_back(std::move(entry));
-        }
-        task->MergeCounters(workers[i]);
-        costs.push_back(results[i].cost);
-      }
-      if (!stopped) {
-        enumerator.ReportBatch(costs);
-        if (pin >= 0) {
-          // Serial re-evaluation of the pinned round on the master task:
-          // its winners now live in the master cache (so later batches hit
-          // them instead of recomputing the fixed part per worker), and the
-          // returned plan shares subtrees through the master's spool cache
-          // exactly as the serial loop's would. Cost purity makes the
-          // re-evaluated cost equal the worker's reported one.
-          RoundResult re = task->EvaluateRound(g, req, batch[pin]);
-          if (re.plan != nullptr && re.cost < prev_best) {
-            best = re.plan;
-            best_cost = re.cost;
-          }
-        }
-      }
+    ++diag_->rounds_executed;
+    double bound = round_bound ? enumerator.BestCostInClass() : kInf;
+    task->InstallAssignment(assignment);
+    // The round root is never cached (only OptimizeGroup writes winners),
+    // so seeding its alternative comparison with the class bound cannot
+    // poison any cache entry.
+    double cost;
+    PhysicalNodePtr plan = task->LogPhysOpt(g, req, &cost, bound);
+    task->RemoveAssignment(assignment);
+    if (plan == nullptr && bound < kInf) ++task->counters_.pruned_rounds;
+    enumerator.ReportCost(cost);
+    if (plan != nullptr && cost < best_cost) {
+      best = plan;
+      best_cost = cost;
+    }
+    if (config.trace_rounds) {
+      RoundTraceEntry entry;
+      entry.lca = g;
+      entry.round_index = diag_->rounds_executed;
+      entry.assignment = assignment;
+      entry.cost = cost;
+      entry.best_so_far = best_cost;
+      diag_->round_trace.push_back(std::move(entry));
     }
   }
 
@@ -247,11 +143,6 @@ PhysicalNodePtr RoundScheduler::RunRoundsAt(RoundTask* task, GroupId g,
     best = task->LogPhysOpt(g, req);  // budget exhausted before the 1st round
   }
   return best;
-}
-
-void RoundScheduler::EnsurePool() {
-  if (pool_ != nullptr) return;
-  pool_ = std::make_unique<WorkerPool>(ctx_->config().num_threads);
 }
 
 }  // namespace scx

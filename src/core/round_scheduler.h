@@ -1,13 +1,8 @@
 #ifndef SCX_CORE_ROUND_SCHEDULER_H_
 #define SCX_CORE_ROUND_SCHEDULER_H_
 
-#include <atomic>
 #include <chrono>
-#include <functional>
-#include <memory>
-#include <vector>
 
-#include "common/worker_pool.h"
 #include "core/optimization_context.h"
 #include "core/round_task.h"
 #include "core/rounds.h"
@@ -15,30 +10,18 @@
 namespace scx {
 
 /// Owns phase-2 round execution: partitions the round space of each LCA by
-/// independence-class structure (RoundEnumerator), evaluates the rounds of a
-/// class either serially or concurrently on a fixed-size thread pool, and
-/// tracks the global round budget.
+/// independence-class structure (RoundEnumerator), evaluates the rounds
+/// one after another on the calling task, and tracks the global round
+/// budget.
 ///
 /// Determinism contract (see docs/architecture.md): for a fixed script and
 /// config, the chosen plan, its cost, rounds_planned/rounds_executed and the
-/// round trace are bit-identical for every num_threads value as long as the
-/// time budget does not expire. Guarantees making this hold:
-///  * only rounds within one independence class run concurrently — they are
-///    mutually independent by construction, and the enumerator's pinning
-///    decisions only happen at class boundaries;
-///  * only LCAs without another LCA strictly below them are parallelized
-///    (OptimizationContext::HasNestedLca), so a worker never runs nested
-///    rounds;
-///  * each worker evaluates its round on a forked RoundTask whose caches
-///    overlay the master's read-only snapshot; results are applied in
-///    enumeration order, and winner selection uses strict less-than, ties
-///    broken by round index — exactly the serial rule;
-///  * the atomic best-so-far bound is maintained for reporting only and
-///    never prunes work;
-///  * branch-and-bound across rounds (serial loop, trace off) uses only
-///    the enumerator's class-local best — it abandons rounds that provably
-///    lose both the winner and the pin comparison, so the chosen plan and
-///    cost still match the unpruned path bit for bit (docs §11).
+/// round trace are reproducible run to run as long as the time budget does
+/// not expire. Winner selection uses strict less-than, so ties go to the
+/// earliest round. Branch-and-bound across rounds (trace off) uses only the
+/// enumerator's class-local best — it abandons rounds that provably lose
+/// both the winner and the pin comparison, so the chosen plan and cost
+/// still match the unpruned path bit for bit (docs §11).
 class RoundScheduler {
  public:
   RoundScheduler(const OptimizationContext* ctx, OptimizeDiagnostics* diag);
@@ -48,19 +31,9 @@ class RoundScheduler {
   /// Starts the phase-2 budget clock.
   void StartPhase2();
 
-  /// True when the time budget expired or the round cap was hit.
-  bool BudgetExceeded() const;
   /// Sticky flag: a budget stop happened somewhere; remaining LCAs fall
   /// back to phase-1-style optimization.
-  bool budget_exhausted() const {
-    return budget_exhausted_.load(std::memory_order_relaxed);
-  }
-
-  /// Cheapest round cost observed anywhere so far (reporting only; +inf
-  /// until a round produced a plan).
-  double best_cost_seen() const {
-    return best_cost_seen_.load(std::memory_order_relaxed);
-  }
+  bool budget_exhausted() const { return budget_exhausted_; }
 
   /// Runs the phase-2 rounds at LCA `g` for `task` (paper Algorithm 4
   /// lines 4-12 + Sec. VIII) and returns the winning plan.
@@ -68,19 +41,14 @@ class RoundScheduler {
                               const RequiredProps& req);
 
  private:
-  void EnsurePool();
-  void NoteBestCost(double cost);
+  /// True when the time budget expired or a budget stop already happened.
+  bool BudgetExceeded() const;
 
   const OptimizationContext* ctx_;
   OptimizeDiagnostics* diag_;
 
   std::chrono::steady_clock::time_point phase2_start_;
-  std::atomic<bool> budget_exhausted_{false};
-  std::atomic<double> best_cost_seen_;
-
-  // Shared pool machinery (common/worker_pool.h), sized to
-  // config.num_threads and created lazily at the first parallel batch.
-  std::unique_ptr<WorkerPool> pool_;
+  bool budget_exhausted_ = false;
 };
 
 }  // namespace scx

@@ -151,42 +151,15 @@ void RoundTask::BeginPhase2() {
   build_ctx_ = nullptr;  // the context is frozen; only const reads from here
 }
 
-RoundTask RoundTask::Fork() const {
-  RoundTask t;
-  t.ctx_ = ctx_;
-  t.scheduler_ = scheduler_;
-  t.phase_ = phase_;
-  t.worker_ = true;
-  t.base_winners_ = &winners_;
-  t.base_spools_ = &spool_bases_;
-  t.enforced_ = enforced_;
-  t.in_rounds_ = in_rounds_;
-  return t;
-}
-
-void RoundTask::MergeCounters(const RoundTask& other) {
-  counters_.MergeFrom(other.counters_);
-}
-
 const std::optional<PhysicalNodePtr>* RoundTask::FindWinner(
     const WinnerKey& key) const {
   auto it = winners_.find(key);
-  if (it != winners_.end()) return &it->second;
-  if (base_winners_ != nullptr) {
-    auto bit = base_winners_->find(key);
-    if (bit != base_winners_->end()) return &bit->second;
-  }
-  return nullptr;
+  return it != winners_.end() ? &it->second : nullptr;
 }
 
 const PhysicalNodePtr* RoundTask::FindSpool(const SpoolKey& key) const {
   auto it = spool_bases_.find(key);
-  if (it != spool_bases_.end()) return &it->second;
-  if (base_spools_ != nullptr) {
-    auto bit = base_spools_->find(key);
-    if (bit != base_spools_->end()) return &bit->second;
-  }
-  return nullptr;
+  return it != spool_bases_.end() ? &it->second : nullptr;
 }
 
 void RoundTask::InstallAssignment(const RoundAssignment& assignment) {
@@ -219,24 +192,6 @@ uint64_t RoundTask::EnforcementSig(GroupId g) {
   }
   sig_memo_[i] = {enforce_epoch_, sig};
   return sig;
-}
-
-RoundResult RoundTask::EvaluateRound(GroupId lca, const RequiredProps& req,
-                                     const RoundAssignment& assignment,
-                                     double bound) {
-  RoundResult out;
-  if (scheduler_ != nullptr && scheduler_->BudgetExceeded()) {
-    out.budget_skipped = true;
-    return out;
-  }
-  InstallAssignment(assignment);
-  // The round root is never cached (only OptimizeGroup writes winners_),
-  // so seeding the alternative comparison with the class bound cannot
-  // poison any cache entry. out.cost is the accumulator's winning cost —
-  // the same memoized DagCost the old PlanCost re-walk computed.
-  out.plan = LogPhysOpt(lca, req, &out.cost, bound);
-  RemoveAssignment(assignment);
-  return out;
 }
 
 PhysicalNodePtr RoundTask::OptimizeGroup(GroupId g, const RequiredProps& req) {

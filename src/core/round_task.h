@@ -22,18 +22,9 @@ class RoundScheduler;
 /// requirement at the shared group (locally cheapest shared plan).
 inline constexpr int kNaiveEntryIndex = -1;
 
-/// Result of evaluating one phase-2 round.
-struct RoundResult {
-  PhysicalNodePtr plan;
-  double cost = 0;
-  /// The budget expired before the round started; the round was not
-  /// evaluated and must not be counted.
-  bool budget_skipped = false;
-};
-
 /// The group-optimization recursion (paper Algorithms 2, 4 and 5) plus the
-/// state one optimization pass — or one phase-2 round — mutates: the winner
-/// cache, the spool-base cache, and the active enforcement assignment.
+/// state one optimization run mutates: the winner cache, the spool-base
+/// cache, and the active enforcement assignment.
 ///
 /// Cache keys are fully numeric: the requirement is interned to a dense
 /// PropsId by the context, and the active enforcement assignment restricted
@@ -42,18 +33,13 @@ struct RoundResult {
 /// (see EnforcementSig below) — replacing the two heap strings the
 /// string-keyed scheme built per probe.
 ///
-/// The master task drives phase 1 (where it is also allowed to mutate the
-/// context: exploration rules, history recording) and the phase-2 walk.
-/// Fork() produces a worker task for one round of a parallel batch: it reads
-/// the master's caches through an immutable base pointer, records its own
-/// results in an overlay, and never mutates the context (which is frozen by
-/// then). After a batch the worker overlays are dropped; the master re-runs
-/// the class's pinned round itself so its cache stays a single evolving
-/// store whose entries all share sub-DAG instances the way the serial
-/// loop's would (see Fork for why overlays cannot be merged back).
+/// One task drives the whole run: phase 1 (where it is also allowed to
+/// mutate the context: exploration rules, history recording) and the
+/// phase-2 walk, whose rounds the RoundScheduler evaluates one after
+/// another on this task, so its caches are a single evolving store.
 class RoundTask {
  public:
-  /// Master task. `ctx` may still be under construction (phase 1).
+  /// `ctx` may still be under construction (phase 1).
   RoundTask(OptimizationContext* ctx, RoundScheduler* scheduler);
 
   /// Enters phase 2: the context must be frozen; the task stops invoking
@@ -61,34 +47,9 @@ class RoundTask {
   /// without shared groups below keep their phase-1 winners).
   void BeginPhase2();
   int phase() const { return phase_; }
-  bool worker() const { return worker_; }
 
   /// Algorithm 2 / 4: optimize `g` under `req` with winner memoization.
   PhysicalNodePtr OptimizeGroup(GroupId g, const RequiredProps& req);
-
-  /// Evaluates one phase-2 round at `lca`: enforce `assignment`, re-optimize
-  /// the sub-DAG, undo the enforcement. `bound` (when finite) is the best
-  /// cost already observed in the round's independence class: alternatives
-  /// whose cost lower bound reaches it are abandoned, and a fully pruned
-  /// round reports a null plan with +inf cost (sound for winner and pin
-  /// selection — see docs/architecture.md §11).
-  RoundResult EvaluateRound(
-      GroupId lca, const RequiredProps& req, const RoundAssignment& assignment,
-      double bound = std::numeric_limits<double>::infinity());
-
-  /// Worker copy for one parallel round: shares this task's caches as a
-  /// read-only base, starts with an empty overlay. The overlay is discarded
-  /// after the round — only counters are folded back (see MergeCounters):
-  /// overlay VALUES are pure functions of their keys, but their pointer
-  /// identities are worker-local, and mixing entries of different
-  /// provenance in the master cache would let later rounds embed duplicate
-  /// instances of the same spool sub-DAG, which DAG costing then counts
-  /// twice. The scheduler instead re-evaluates each class's pinned round on
-  /// the master task to warm the master cache serial-consistently.
-  RoundTask Fork() const;
-
-  /// Folds `other`'s cache/pruning counters into this task's.
-  void MergeCounters(const RoundTask& other);
 
   const OptCacheCounters& counters() const { return counters_; }
 
@@ -197,8 +158,6 @@ class RoundTask {
     OptCacheCounters* counters_;
   };
 
-  RoundTask() = default;
-
   // --- Algorithm 5: logical exploration + physical optimization ---
   // `out_cost` (optional) receives the winner's cost under the mode's
   // objective (+inf when no plan), saving the caller a re-walk. `bound`
@@ -255,15 +214,9 @@ class RoundTask {
   OptimizationContext* build_ctx_ = nullptr;
   RoundScheduler* scheduler_ = nullptr;
   int phase_ = 1;
-  bool worker_ = false;
 
   WinnerMap winners_;
   SpoolMap spool_bases_;
-  /// Read-only snapshot of the forking master's caches (workers only).
-  /// Valid for the duration of one batch: the master is blocked and does not
-  /// touch its caches while workers run.
-  const WinnerMap* base_winners_ = nullptr;
-  const SpoolMap* base_spools_ = nullptr;
 
   std::map<GroupId, int> enforced_;  ///< active round assignment
   /// Epoch stamp of `enforced_`, bumped by Install/RemoveAssignment.

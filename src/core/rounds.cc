@@ -116,47 +116,4 @@ void RoundEnumerator::ReportCost(double cost) {
   }
 }
 
-bool RoundEnumerator::NextBatch(std::vector<RoundAssignment>* out) {
-  out->clear();
-  batch_counters_.clear();
-  if (done_ || pending_report_) return false;
-  for (;;) {
-    if (counter_fresh_) {  // start of the first class only
-      counter_fresh_ = false;
-      out->push_back(CurrentAssignment());
-      batch_counters_.push_back(counter_);
-    }
-    while (AdvanceCounter()) {
-      out->push_back(CurrentAssignment());
-      batch_counters_.push_back(counter_);
-    }
-    if (!out->empty()) {
-      pending_report_ = true;
-      return true;
-    }
-    // Single-combination class: nothing new to evaluate; pin entry 0 and
-    // move on.
-    if (!BeginNextClass(std::vector<int>(counter_.size(), 0))) return false;
-  }
-}
-
-void RoundEnumerator::ReportBatch(const std::vector<double>& costs) {
-  if (!pending_report_) return;
-  pending_report_ = false;
-  // Lowest cost wins; ties broken by batch index (same rule as serial
-  // ReportCost's strict `<`).
-  size_t best = 0;
-  double best_cost = 0;
-  bool have = false;
-  for (size_t i = 0; i < costs.size() && i < batch_counters_.size(); ++i) {
-    if (!have || costs[i] < best_cost) {
-      have = true;
-      best_cost = costs[i];
-      best = i;
-    }
-  }
-  BeginNextClass(have ? batch_counters_[best]
-                      : std::vector<int>(counter_.size(), 0));
-}
-
 }  // namespace scx

@@ -30,14 +30,6 @@ using RoundAssignment = std::map<GroupId, int>;
 /// observed assignment and later classes to entry 0. Subsequent classes skip
 /// their all-zero combination (it was already evaluated during the previous
 /// class), reproducing the paper's 8+8 → 8+7 = 15 rounds example.
-///
-/// Two driving protocols are supported (do not mix them on one instance):
-///  * serial: Next() / ReportCost() per round;
-///  * batch: NextBatch() returns every round of the current class at once
-///    (rounds within one class are mutually independent, so they may be
-///    evaluated concurrently), then ReportBatch() with one cost per round
-///    picks the pin for the finished class. The concatenation of all batches
-///    is exactly the serial Next() sequence.
 class RoundEnumerator {
  public:
   RoundEnumerator(std::vector<std::vector<GroupId>> classes,
@@ -69,17 +61,6 @@ class RoundEnumerator {
   /// Reports the cost of the assignment most recently returned by Next().
   void ReportCost(double cost);
 
-  /// Produces every remaining round of the current class; false when
-  /// enumeration is complete. The caller must call ReportBatch() before the
-  /// next NextBatch().
-  bool NextBatch(std::vector<RoundAssignment>* out);
-
-  /// Reports the costs of the batch most recently returned by NextBatch()
-  /// (costs[i] belongs to out[i]); the cheapest round — ties broken by batch
-  /// index, matching serial ReportCost — becomes the class's pinned
-  /// assignment.
-  void ReportBatch(const std::vector<double>& costs);
-
  private:
   /// Builds the assignment for the current class state.
   RoundAssignment CurrentAssignment() const;
@@ -102,7 +83,6 @@ class RoundEnumerator {
   double best_cost_in_class_ = 0;
   bool have_best_in_class_ = false;
   std::vector<int> best_counter_;
-  std::vector<std::vector<int>> batch_counters_;  // batch-protocol state
   RoundAssignment fixed_;              // best choices of completed classes
   bool done_ = false;
 };

@@ -344,7 +344,6 @@ std::optional<DiffHarness::Failure> DiffHarness::RunOracles(
   OptimizerConfig cfg;
   cfg.cluster.machines = opts_.machines;
   cfg.cluster.exec_threads = 1;
-  cfg.num_threads = 1;
   // The wall-clock phase-2 budget is the optimizer's one deliberate
   // nondeterminism (docs/architecture.md §10): where enumeration stops
   // depends on machine speed. The oracles test logic, not the budget
@@ -388,27 +387,6 @@ std::optional<DiffHarness::Failure> DiffHarness::RunOracles(
     return Failure{"cost", "cse cost " + std::to_string(cse->cost()) +
                                " exceeds conventional cost " +
                                std::to_string(conv->cost())};
-  }
-
-  // Oracle 3a: parallel optimization is bit-identical to serial.
-  if (opts_.threads > 1) {
-    OptimizerConfig pcfg = cfg;
-    pcfg.num_threads = opts_.threads;
-    Engine parallel_engine(catalog, pcfg);
-    auto cse_par = parallel_engine.Optimize(*compiled, OptimizerMode::kCse);
-    if (!cse_par.ok()) {
-      return Failure{"optimize",
-                     "cse parallel: " + cse_par.status().ToString()};
-    }
-    if (cse_par->cost() != cse->cost() ||
-        PlanToJson(cse_par->plan()) != PlanToJson(cse->plan())) {
-      return Failure{"opt-determinism",
-                     "parallel (" + std::to_string(opts_.threads) +
-                         " threads) optimization chose a different plan "
-                         "(serial cost " +
-                         std::to_string(cse->cost()) + ", parallel cost " +
-                         std::to_string(cse_par->cost()) + ")"};
-    }
   }
 
   // Oracle 1: both modes execute to identical canonical outputs.
@@ -740,7 +718,6 @@ OracleReport DiffHarness::CheckBatch(const Catalog& catalog,
   OptimizerConfig cfg;
   cfg.cluster.machines = opts_.machines;
   cfg.cluster.exec_threads = 1;
-  cfg.num_threads = 1;
   cfg.budget_seconds = 1e9;  // see RunOracles
 
   // Sequential arm: each script compiled, optimized (kCse), and executed

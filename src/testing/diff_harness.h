@@ -15,9 +15,8 @@ namespace scx {
 /// Options for one differential-testing run.
 struct HarnessOptions {
   int machines = 8;
-  /// Thread count of the parallel arm of the determinism oracle (the serial
-  /// arm is always 1). Applies to both optimizer rounds and executor
-  /// partitions.
+  /// Executor thread count (ClusterConfig::exec_threads) of the parallel
+  /// arm of the execution-determinism oracles (the serial arm is always 1).
   int threads = 4;
   /// Slack for the cost oracle: cse_cost <= conv_cost * (1 + cost_slack).
   double cost_slack = 1e-4;
@@ -40,7 +39,7 @@ struct HarnessOptions {
 /// The paper-level invariants map onto the tags as:
 ///   (1) equivalence    -> "outputs"
 ///   (2) cost claim     -> "cost"
-///   (3) determinism    -> "opt-determinism" / "exec-determinism"
+///   (3) determinism    -> "exec-determinism"
 ///   (4) plan hygiene   -> "validate" / "roundtrip"
 ///   (5) batch identity -> "batch-identity" (the vectorized executor must
 ///       be bit-identical — raw rows and legacy counters — to the
@@ -61,8 +60,8 @@ struct OracleReport {
 /// (catalog, script) case it checks:
 ///   1. kConventional and kCse plans execute to identical canonical outputs;
 ///   2. estimated cost of the CSE plan <= conventional (paper Fig. 6/7);
-///   3. serial and multi-threaded optimize + execute are bit-identical
-///      (same plan JSON; same ExecMetrics counters and raw output rows);
+///   3. serial and multi-threaded execution of the CSE plan are
+///      bit-identical (same ExecMetrics counters and raw output rows);
 ///   4. both plans pass ValidatePlan and their JSON serialization survives a
 ///      parse -> serialize round-trip byte for byte;
 ///   5. columnar-batch execution (the default) is bit-identical to the
@@ -122,6 +121,7 @@ struct CorpusCase {
   uint64_t seed = 0;
   std::string oracle;  ///< empty for pass-regression entries
   int machines = 8;
+  /// Replayed into HarnessOptions::threads (executor threads).
   int threads = 4;
   /// Replayed into HarnessOptions::fault_plan; default-constructed (and the
   /// `# fault:` line absent) for clean repros.

@@ -25,7 +25,6 @@ OptimizerConfig SmallCluster() {
   OptimizerConfig config;
   config.cluster.machines = 8;
   config.cluster.exec_threads = 1;
-  config.num_threads = 1;
   return config;
 }
 

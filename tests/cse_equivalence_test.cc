@@ -9,13 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "api/engine.h"
 #include "exec/executor.h"
 #include "workload/large_scripts.h"
 #include "workload/paper_scripts.h"
+#include "paper_script_param.h"
 
 namespace scx {
 namespace {
@@ -55,21 +55,17 @@ void ExpectModesEquivalent(const std::string& label, const Catalog& catalog,
 }
 
 class PaperScriptEquivalence
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {
+    : public ::testing::TestWithParam<PaperScriptParam> {
 };
 
 TEST_P(PaperScriptEquivalence, ConvAndCseOutputsMatch) {
-  ExpectModesEquivalent(GetParam().first, MakeExecutionCatalog(5000),
-                        GetParam().second);
+  ExpectModesEquivalent(GetParam().name, MakeExecutionCatalog(5000),
+                        GetParam().text);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Scripts, PaperScriptEquivalence,
-    ::testing::Values(std::make_pair("S1", kScriptS1),
-                      std::make_pair("S2", kScriptS2),
-                      std::make_pair("S3", kScriptS3),
-                      std::make_pair("S4", kScriptS4)),
-    [](const auto& info) { return info.param.first; });
+    Scripts, PaperScriptEquivalence, PaperScriptParams(),
+    PaperScriptParamName);
 
 TEST(LargeScriptEquivalence, Ls1ConvAndCseOutputsMatch) {
   LargeScriptSpec spec = Ls1Spec();

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "api/engine.h"
 #include "workload/paper_scripts.h"
 
@@ -159,6 +163,54 @@ TEST(EngineTest, OptimizerIntrospectionAvailable) {
   ASSERT_TRUE(cse.ok());
   EXPECT_NE(cse->optimizer->shared_info(), nullptr);
   EXPECT_GT(cse->optimizer->memo().num_groups(), 0);
+}
+
+
+TEST(EngineTest, ConcurrentOptimizeOnOneEngine) {
+  // Several threads drive the same Engine and CompiledScript at once; each
+  // run builds a private memo/registry/optimizer, so results must match a
+  // quiet single-threaded run exactly.
+  OptimizerConfig config;
+  config.budget_seconds = 1e9;
+  Engine engine(MakePaperCatalog(), config);
+  auto compiled = engine.Compile(kScriptS2);
+  ASSERT_TRUE(compiled.ok());
+  auto reference = engine.Optimize(*compiled, OptimizerMode::kCse);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  constexpr int kRuns = 4;
+  std::vector<double> costs(kRuns, -1.0);
+  std::vector<std::string> plans(kRuns);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kRuns; ++t) {
+    threads.emplace_back([&, t] {
+      auto optimized = engine.Optimize(*compiled, OptimizerMode::kCse);
+      if (optimized.ok()) {
+        costs[static_cast<size_t>(t)] = optimized->cost();
+        plans[static_cast<size_t>(t)] = optimized->Explain();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kRuns; ++t) {
+    EXPECT_EQ(costs[static_cast<size_t>(t)], reference->cost());
+    EXPECT_EQ(plans[static_cast<size_t>(t)], reference->Explain());
+  }
+}
+
+TEST(EngineTest, CompareMatchesSeparateOptimizeCalls) {
+  // Compare overlaps its two optimizations on two threads.
+  Engine engine(MakePaperCatalog());
+  auto c = engine.Compare(kScriptS1);
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  auto compiled = engine.Compile(kScriptS1);
+  ASSERT_TRUE(compiled.ok());
+  auto conv = engine.Optimize(*compiled, OptimizerMode::kConventional);
+  auto cse = engine.Optimize(*compiled, OptimizerMode::kCse);
+  ASSERT_TRUE(conv.ok());
+  ASSERT_TRUE(cse.ok());
+  EXPECT_EQ(c->conventional.cost(), conv->cost());
+  EXPECT_EQ(c->cse.cost(), cse->cost());
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "api/engine.h"
 #include "workload/large_scripts.h"
 #include "workload/paper_scripts.h"
+#include "paper_script_param.h"
 
 namespace scx {
 namespace {
@@ -30,7 +31,6 @@ PlanUnderTest OptimizeOnce(const std::string& name, const Catalog& catalog,
                            int machines) {
   OptimizerConfig config;
   config.cluster.machines = machines;
-  config.num_threads = 1;
   Engine engine(catalog, config);
   auto compiled = engine.Compile(text);
   EXPECT_TRUE(compiled.ok()) << name << ": " << compiled.status().ToString();
@@ -97,25 +97,21 @@ void CheckScript(const std::string& name, const Catalog& catalog,
 }
 
 class PaperScriptParallel
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+    : public ::testing::TestWithParam<PaperScriptParam> {};
 
 TEST_P(PaperScriptParallel, CseMatchesSerial) {
-  CheckScript(GetParam().first, MakeExecutionCatalog(5000), GetParam().second,
+  CheckScript(GetParam().name, MakeExecutionCatalog(5000), GetParam().text,
               OptimizerMode::kCse);
 }
 
 TEST_P(PaperScriptParallel, ConventionalMatchesSerial) {
-  CheckScript(GetParam().first, MakeExecutionCatalog(5000), GetParam().second,
+  CheckScript(GetParam().name, MakeExecutionCatalog(5000), GetParam().text,
               OptimizerMode::kConventional);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PaperScripts, PaperScriptParallel,
-    ::testing::Values(std::make_pair("S1", kScriptS1),
-                      std::make_pair("S2", kScriptS2),
-                      std::make_pair("S3", kScriptS3),
-                      std::make_pair("S4", kScriptS4)),
-    [](const auto& info) { return info.param.first; });
+    PaperScripts, PaperScriptParallel, PaperScriptParams(),
+    PaperScriptParamName);
 
 TEST(ExecutorParallelTest, Ls1MatchesSerial) {
   LargeScriptSpec spec = Ls1Spec();

@@ -8,6 +8,7 @@
 
 #include "api/engine.h"
 #include "workload/paper_scripts.h"
+#include "paper_script_param.h"
 
 namespace scx {
 namespace {
@@ -168,13 +169,13 @@ TEST(ExecutorTest, ResidualJoinPredicate) {
 }
 
 class PaperScriptExecution
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+    : public ::testing::TestWithParam<PaperScriptParam> {};
 
 TEST_P(PaperScriptExecution, ConventionalAndCseProduceIdenticalOutputs) {
-  const char* script = GetParam().second;
+  const char* script = GetParam().text;
   ExecMetrics conv = RunScript(script, OptimizerMode::kConventional);
   ExecMetrics cse = RunScript(script, OptimizerMode::kCse);
-  EXPECT_TRUE(SameOutputs(conv, cse)) << GetParam().first;
+  EXPECT_TRUE(SameOutputs(conv, cse)) << GetParam().name;
   EXPECT_FALSE(conv.outputs.empty());
   for (const auto& [path, rows] : conv.outputs) {
     EXPECT_FALSE(rows.empty()) << path;
@@ -182,20 +183,16 @@ TEST_P(PaperScriptExecution, ConventionalAndCseProduceIdenticalOutputs) {
 }
 
 TEST_P(PaperScriptExecution, CseShufflesNoMoreBytes) {
-  const char* script = GetParam().second;
+  const char* script = GetParam().text;
   ExecMetrics conv = RunScript(script, OptimizerMode::kConventional);
   ExecMetrics cse = RunScript(script, OptimizerMode::kCse);
-  EXPECT_LE(cse.bytes_shuffled, conv.bytes_shuffled) << GetParam().first;
-  EXPECT_LE(cse.rows_extracted, conv.rows_extracted) << GetParam().first;
+  EXPECT_LE(cse.bytes_shuffled, conv.bytes_shuffled) << GetParam().name;
+  EXPECT_LE(cse.rows_extracted, conv.rows_extracted) << GetParam().name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PaperScripts, PaperScriptExecution,
-    ::testing::Values(std::make_pair("S1", kScriptS1),
-                      std::make_pair("S2", kScriptS2),
-                      std::make_pair("S3", kScriptS3),
-                      std::make_pair("S4", kScriptS4)),
-    [](const auto& info) { return info.param.first; });
+    PaperScripts, PaperScriptExecution, PaperScriptParams(),
+    PaperScriptParamName);
 
 TEST(ExecutorTest, SpoolExecutesOncePerPlanNode) {
   Engine engine(MakeExecutionCatalog(5000), SmallCluster());

@@ -288,7 +288,6 @@ ExecMetrics RunDupScript(int batch_size, int exec_threads) {
   Catalog catalog = DupCatalog();
   OptimizerConfig config;
   config.cluster.machines = 4;
-  config.num_threads = 1;
   Engine engine(catalog, config);
   auto compiled = engine.Compile(kDupScript);
   EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();

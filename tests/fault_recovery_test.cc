@@ -22,7 +22,6 @@ OptimizerConfig SmallCluster() {
   OptimizerConfig config;
   config.cluster.machines = 4;
   config.cluster.exec_threads = 1;
-  config.num_threads = 1;
   return config;
 }
 

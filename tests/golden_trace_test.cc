@@ -62,7 +62,6 @@ std::string Serialize(const OptimizedScript& o) {
 void CheckAgainstGolden(const char* name, const Catalog& catalog,
                         const std::string& text) {
   OptimizerConfig config;
-  config.num_threads = 1;
   config.budget_seconds = 1e9;  // determinism requires no budget stop
   Engine engine(catalog, config);
   auto compiled = engine.Compile(text);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "api/engine.h"
 #include "workload/paper_scripts.h"
@@ -321,6 +322,96 @@ TEST(OptimizerTest, JoinInputsAreCoPartitioned) {
     EXPECT_TRUE(r.cols.IsSubsetOf(rkeys)) << node->Describe();
     EXPECT_EQ(l.cols.Size(), r.cols.Size());
   }
+}
+
+
+/// Observable outcome of one kCse optimization.
+struct CseOutcome {
+  double cost = 0;
+  std::string plan;
+  long rounds_executed = 0;
+  OptCacheCounters cache;
+};
+
+CseOutcome OptimizeCse(const char* script, bool trace_rounds = true) {
+  OptimizerConfig config;
+  config.trace_rounds = trace_rounds;
+  // Determinism is only promised while the budget never expires; disable it.
+  config.budget_seconds = 1e9;
+  Engine engine(MakePaperCatalog(), config);
+  auto compiled = engine.Compile(script);
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  auto optimized = engine.Optimize(*compiled, OptimizerMode::kCse);
+  EXPECT_TRUE(optimized.ok()) << optimized.status().ToString();
+  CseOutcome out;
+  out.cost = optimized->cost();
+  out.plan = optimized->Explain();
+  out.rounds_executed = optimized->result.diagnostics.rounds_executed;
+  out.cache = optimized->result.diagnostics.cache;
+  return out;
+}
+
+TEST(OptimizerTest, RoundPruningNeverChangesWinner) {
+  // trace off enables class-local branch-and-bound across rounds; the
+  // chosen plan and cost must still match the traced (unpruned) run bit
+  // for bit.
+  for (const char* script : {kScriptS1, kScriptS3, kScriptS4}) {
+    CseOutcome traced = OptimizeCse(script, true);
+    CseOutcome fast = OptimizeCse(script, false);
+    EXPECT_EQ(traced.cost, fast.cost);
+    EXPECT_EQ(traced.plan, fast.plan);
+    EXPECT_EQ(traced.rounds_executed, fast.rounds_executed);
+    // Untraced runs do prune rounds on these scripts.
+    EXPECT_GT(fast.cache.pruned_rounds, 0);
+  }
+}
+
+TEST(OptimizerTest, CountersDeterministicAcrossRuns) {
+  // Cache hit/miss and pruning totals are reproducible run to run.
+  CseOutcome a = OptimizeCse(kScriptS3);
+  CseOutcome b = OptimizeCse(kScriptS3);
+  EXPECT_EQ(a.cache.winner_hits, b.cache.winner_hits);
+  EXPECT_EQ(a.cache.winner_misses, b.cache.winner_misses);
+  EXPECT_EQ(a.cache.spool_hits, b.cache.spool_hits);
+  EXPECT_EQ(a.cache.spool_misses, b.cache.spool_misses);
+  EXPECT_EQ(a.cache.pruned_alternatives, b.cache.pruned_alternatives);
+  EXPECT_EQ(a.cache.pruned_rounds, b.cache.pruned_rounds);
+  EXPECT_EQ(a.cache.interner_size, b.cache.interner_size);
+  EXPECT_GT(a.cache.winner_hits, 0);
+  EXPECT_GT(a.cache.winner_misses, 0);
+  EXPECT_GT(a.cache.interner_size, 0);
+}
+
+TEST(OptimizerTest, NaiveSharingDeterministicAcrossRuns) {
+  Engine engine(MakePaperCatalog());
+  auto compiled = engine.Compile(kScriptS1);
+  ASSERT_TRUE(compiled.ok());
+  auto a = engine.Optimize(*compiled, OptimizerMode::kNaiveSharing);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  auto b = engine.Optimize(*compiled, OptimizerMode::kNaiveSharing);
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a->cost(), b->cost());
+}
+
+TEST(OptimizerTest, SecondRunReturnsFailedPrecondition) {
+  Catalog catalog = MakePaperCatalog();
+  Engine engine(catalog);
+  auto compiled = engine.Compile(kScriptS1);
+  ASSERT_TRUE(compiled.ok());
+  Memo memo = Memo::FromLogicalDag(compiled->bound.root);
+  Optimizer optimizer(std::move(memo), compiled->bound.columns,
+                      engine.config());
+  auto first = optimizer.Run(OptimizerMode::kCse);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto second = optimizer.Run(OptimizerMode::kCse);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
+
+  // Re-optimization goes through a fresh context instead (the Engine builds
+  // one per Optimize call).
+  auto again = engine.Optimize(*compiled, OptimizerMode::kCse);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->cost(), first->cost);
 }
 
 }  // namespace

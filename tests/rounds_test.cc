@@ -1,7 +1,6 @@
 // Tests for the phase-2 round enumerator (paper Sec. VII ordering and the
 // Sec. VIII-A independent-shared-group extension, including the paper's
-// 8x8 = 64 → 8+7 = 15 rounds example), in both the serial Next/ReportCost
-// protocol and the batch protocol used by the parallel scheduler.
+// 8x8 = 64 → 8+7 = 15 rounds example), driven through Next/ReportCost.
 
 #include <gtest/gtest.h>
 
@@ -12,32 +11,12 @@
 namespace scx {
 namespace {
 
-std::vector<RoundAssignment> Drain(RoundEnumerator* sched,
-                                   const std::map<RoundAssignment, double>&
-                                       costs = {}) {
+std::vector<RoundAssignment> Drain(RoundEnumerator* sched) {
   std::vector<RoundAssignment> out;
   RoundAssignment a;
   while (sched->Next(&a)) {
     out.push_back(a);
-    auto it = costs.find(a);
-    sched->ReportCost(it == costs.end() ? 100.0 : it->second);
-  }
-  return out;
-}
-
-std::vector<RoundAssignment> DrainBatches(
-    RoundEnumerator* sched,
-    const std::map<RoundAssignment, double>& costs = {}) {
-  std::vector<RoundAssignment> out;
-  std::vector<RoundAssignment> batch;
-  while (sched->NextBatch(&batch)) {
-    std::vector<double> batch_costs;
-    for (const RoundAssignment& a : batch) {
-      out.push_back(a);
-      auto it = costs.find(a);
-      batch_costs.push_back(it == costs.end() ? 100.0 : it->second);
-    }
-    sched->ReportBatch(batch_costs);
+    sched->ReportCost(100.0);
   }
   return out;
 }
@@ -138,41 +117,21 @@ TEST(RoundEnumeratorTest, ThreeClassesChainBests) {
   EXPECT_EQ(rounds.size(), 4u);
 }
 
-TEST(RoundEnumeratorTest, BatchProtocolMatchesSerial) {
-  // The concatenation of all batches must be exactly the serial Next()
-  // sequence, including the class pinning decided by the reported costs.
-  std::map<RoundAssignment, double> costs;
-  costs[{{5, 1}, {6, 0}}] = 7.0;   // entry 1 of group 5 wins its class
-  costs[{{5, 1}, {6, 2}}] = 3.0;
-  RoundEnumerator serial({{5}, {6}}, {{5, 3}, {6, 3}});
-  RoundEnumerator batched({{5}, {6}}, {{5, 3}, {6, 3}});
-  EXPECT_EQ(Drain(&serial, costs), DrainBatches(&batched, costs));
-}
-
-TEST(RoundEnumeratorTest, BatchesSplitPerClass) {
-  RoundEnumerator sched({{5}, {6}}, {{5, 8}, {6, 8}});
-  std::vector<RoundAssignment> batch;
-  ASSERT_TRUE(sched.NextBatch(&batch));
-  EXPECT_EQ(batch.size(), 8u);  // whole first class at once
-  sched.ReportBatch(std::vector<double>(8, 100.0));
-  ASSERT_TRUE(sched.NextBatch(&batch));
-  EXPECT_EQ(batch.size(), 7u);  // second class minus the all-zero round
-  sched.ReportBatch(std::vector<double>(7, 100.0));
-  EXPECT_FALSE(sched.NextBatch(&batch));
-}
-
-TEST(RoundEnumeratorTest, BatchPinsLowestCostTiesByIndex) {
+TEST(RoundEnumeratorTest, SerialPinsLowestCostTiesByIndex) {
+  // Entries 1 and 2 of group 5 tie for the cheapest cost; the strict `<`
+  // rule keeps the first, so the second class runs with entry 1 pinned.
   RoundEnumerator sched({{5}, {6}}, {{5, 3}, {6, 2}});
-  std::vector<RoundAssignment> batch;
-  ASSERT_TRUE(sched.NextBatch(&batch));
-  ASSERT_EQ(batch.size(), 3u);
-  sched.ReportBatch({20.0, 10.0, 10.0});  // tie between entries 1 and 2
-  ASSERT_TRUE(sched.NextBatch(&batch));
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].at(5), 1);  // first of the tied rounds wins
-  EXPECT_EQ(batch[0].at(6), 1);
-  sched.ReportBatch({5.0});
-  EXPECT_FALSE(sched.NextBatch(&batch));
+  RoundAssignment a;
+  std::vector<double> costs = {20, 10, 10};
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(sched.Next(&a));
+    sched.ReportCost(costs[static_cast<size_t>(i)]);
+  }
+  ASSERT_TRUE(sched.Next(&a));
+  EXPECT_EQ(a.at(5), 1);
+  EXPECT_EQ(a.at(6), 1);
+  sched.ReportCost(5);
+  EXPECT_FALSE(sched.Next(&a));
 }
 
 TEST(RoundEnumeratorTest, TotalRoundsSaturatesInsteadOfOverflowing) {
@@ -217,16 +176,6 @@ TEST(RoundEnumeratorTest, TotalRoundsSaturatesAcrossClassSums) {
   EXPECT_EQ(sched.TotalRounds(), std::numeric_limits<long>::max());
   RoundAssignment a;
   EXPECT_TRUE(sched.Next(&a));
-}
-
-TEST(RoundEnumeratorTest, BatchProtocolCollapsesSingleEntryClasses) {
-  RoundEnumerator sched({{1}, {2}, {3}}, {{1, 1}, {2, 1}, {3, 1}});
-  std::vector<RoundAssignment> batch;
-  ASSERT_TRUE(sched.NextBatch(&batch));
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0], (RoundAssignment{{1, 0}, {2, 0}, {3, 0}}));
-  sched.ReportBatch({42.0});
-  EXPECT_FALSE(sched.NextBatch(&batch));
 }
 
 }  // namespace

@@ -217,7 +217,6 @@ std::map<int64_t, int64_t> KeyHistogram(double alpha, uint64_t data_seed) {
 
   OptimizerConfig config;
   config.cluster.machines = 4;
-  config.num_threads = 1;
   Engine engine(*catalog, config);
   auto compiled = engine.Compile(
       "R0 = EXTRACT A,B FROM \"skew.log\" USING LogExtractor;\n"

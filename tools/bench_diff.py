@@ -9,9 +9,9 @@ Usage:
     tools/bench_diff.py --batched-vs-sequential BENCH_multiquery.json
     tools/bench_diff.py --faulty-vs-clean BENCH_fault.json [--threshold 0.02]
 
-Both files must come from the same benchmark binary (bench/opt_parallel,
-bench/opt_cache, or bench/exec_throughput). Every rate metric (keys ending in
-``rounds_per_sec`` or ``rows_per_sec``) found in both files is compared; a
+Both files must come from the same benchmark binary (bench/opt_cache or
+bench/exec_throughput). Every rate metric (keys ending in ``rounds_per_sec``
+or ``rows_per_sec``) found in both files is compared; a
 drop of more than ``--threshold`` (default 10%) is a regression. Exits 1 when
 any regression is found, 0 otherwise, so the CI perf-smoke job can gate on
 it. Stdlib only.

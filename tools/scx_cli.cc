@@ -10,8 +10,10 @@
 //           [--straggler-prob P] [--straggler-factor F] [--no-recovery-spools]
 //           [--compare] [--execute] [--quiet]
 //
-// --batch sets the executor's rows-per-batch (0 = default / SCX_BATCH_SIZE
-// env; 1 = the exact legacy row-at-a-time path). --spool-cache bounds the
+// --threads sets the executor's worker threads (cluster.exec_threads; the
+// optimizer always runs its rounds serially). --batch sets the executor's
+// rows-per-batch (0 = default / SCX_BATCH_SIZE env; 1 = the exact legacy
+// row-at-a-time path). --spool-cache bounds the
 // bytes held for spooled intermediates (0 = default / SCX_SPOOL_CACHE_BYTES
 // env / 256 MiB; negative = unlimited); evictions surface as
 // spool_bytes_evicted. The --fault-*/--straggler-* flags arm a FaultPlan
@@ -118,7 +120,6 @@ int Main(int argc, char** argv) {
         std::fprintf(stderr, "scx: --threads needs a positive integer\n");
         return 2;
       }
-      config.num_threads = n;
       config.cluster.exec_threads = n;
     } else if (arg == "--batch") {
       int n = std::atoi(next());
@@ -167,7 +168,8 @@ int Main(int argc, char** argv) {
           "[--fault-seed N] [--fault-prob P]\n              [--fault-max N] "
           "[--straggler-prob P] [--straggler-factor F]\n              "
           "[--no-recovery-spools] [--compare] [--execute] [--quiet] "
-          "[--json]\n");
+          "[--json]\n\n  --threads N sets the executor's worker threads "
+          "(cluster.exec_threads) only.\n");
       return 0;
     } else {
       std::fprintf(stderr, "scx: unknown flag %s (try --help)\n",

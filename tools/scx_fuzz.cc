@@ -3,7 +3,7 @@
 // Generates seeded random multi-output DAG scripts with deliberate
 // structural sharing and checks each against five oracles (conventional ==
 // cse executed outputs; cse cost <= conventional; serial == parallel
-// optimize + execute; plan validity + JSON round-trip; columnar-batch ==
+// execution; plan validity + JSON round-trip; columnar-batch ==
 // batch_size=1 row execution). On failure the script is greedily minimized
 // and the repro written to a corpus directory.
 //
