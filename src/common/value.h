@@ -81,6 +81,23 @@ using Row = std::vector<Value>;
 /// Stable hash of selected row positions (for partitioning on a column set).
 uint64_t HashRowKey(const Row& row, const std::vector<int>& positions);
 
+/// int64 +, - and * with two's-complement wraparound: the scripts' integer
+/// arithmetic and integer Sum semantics. Signed overflow is undefined in
+/// C++, so the operation runs on uint64_t, where it wraps by definition,
+/// and converts back (a modular conversion since C++20).
+inline int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrapSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrapMul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                              static_cast<uint64_t>(b));
+}
+
 }  // namespace scx
 
 #endif  // SCX_COMMON_VALUE_H_

@@ -155,11 +155,11 @@ Value EvalBinaryValue(ScalarExpr::BinOp op, const Value& l, const Value& r) {
     int64_t a = l.as_int(), b = r.as_int();
     switch (op) {
       case ScalarExpr::BinOp::kAdd:
-        return Value::Int(a + b);
+        return Value::Int(WrapAdd(a, b));
       case ScalarExpr::BinOp::kSub:
-        return Value::Int(a - b);
+        return Value::Int(WrapSub(a, b));
       case ScalarExpr::BinOp::kMul:
-        return Value::Int(a * b);
+        return Value::Int(WrapMul(a, b));
       case ScalarExpr::BinOp::kDiv:
         break;
     }
@@ -453,15 +453,15 @@ void EvalBinaryColumns(ScalarExpr::BinOp op, const ColumnVector& l,
     switch (op) {
       case ScalarExpr::BinOp::kAdd:
         // simd-guard: arith-int64-add
-        for (size_t i = 0; i < n; ++i) o[i] = a[i] + b[i];
+        for (size_t i = 0; i < n; ++i) o[i] = WrapAdd(a[i], b[i]);
         break;
       case ScalarExpr::BinOp::kSub:
         // simd-guard: arith-int64-sub
-        for (size_t i = 0; i < n; ++i) o[i] = a[i] - b[i];
+        for (size_t i = 0; i < n; ++i) o[i] = WrapSub(a[i], b[i]);
         break;
       case ScalarExpr::BinOp::kMul:
         // simd-guard: arith-int64-mul
-        for (size_t i = 0; i < n; ++i) o[i] = a[i] * b[i];
+        for (size_t i = 0; i < n; ++i) o[i] = WrapMul(a[i], b[i]);
         break;
       case ScalarExpr::BinOp::kDiv:
         break;  // handled above

@@ -1,8 +1,10 @@
 #include "opt/physical_plan.h"
 
 #include <cmath>
+#include <cstdint>
 #include <map>
-#include <unordered_map>
+
+#include "common/hash.h"
 
 namespace scx {
 
@@ -151,20 +153,89 @@ PhysicalNodePtr MakePhysicalNode(PhysicalOpKind kind, LogicalNodePtr proto,
 
 namespace {
 
-// refs/order collection over the plan DAG. The summation below walks the
-// `order` vector, whose sequence comes from the DFS recursion alone — so
-// switching the refs container from the ordered map to a hash map keeps
-// the floating-point addition order (and thus the cost) bit-identical.
-void CollectDag(const PhysicalNodePtr& node,
-                std::unordered_map<const PhysicalNode*, int>* refs,
-                std::vector<const PhysicalNode*>* order) {
-  auto [it, inserted] = refs->emplace(node.get(), 0);
-  ++it->second;
-  if (!inserted) return;
-  for (const PhysicalNodePtr& c : node->children) {
-    CollectDag(c, refs, order);
+/// Per-thread scratch for the DAG walks (DagCost, CountDagNodes): an
+/// open-addressed node -> consumer-count table plus the DFS post-order.
+/// Phase 2 calls DagCost hundreds of thousands of times per script, so the
+/// scratch is reused across calls and a walk allocates nothing once it has
+/// grown to the largest DAG its thread has seen. A slot is live only while
+/// its epoch equals the current walk's, so starting a walk clears the table
+/// in O(1).
+class DagWalk {
+ public:
+  struct Entry {
+    const PhysicalNode* node;
+    uint32_t ref_index;  ///< index into refs_
+  };
+
+  /// Walks the DAG under `root`. Afterwards order() lists each distinct
+  /// node once in DFS post-order (children first, in child order) — the
+  /// summation order of DagCost, so the floating-point result does not
+  /// depend on the table layout.
+  void Run(const PhysicalNode* root) {
+    if (++epoch_ == 0) {  // wrapped: forget every stale stamp
+      for (Slot& s : slots_) s.epoch = 0;
+      epoch_ = 1;
+    }
+    if (slots_.empty()) Resize(kMinSlots);
+    order_.clear();
+    refs_.clear();
+    Visit(root);
   }
-  order->push_back(node.get());
+
+  const std::vector<Entry>& order() const { return order_; }
+  /// Number of parents (plus the root's caller) referencing the node.
+  int refs(const Entry& e) const { return refs_[e.ref_index]; }
+
+ private:
+  struct Slot {
+    const PhysicalNode* node = nullptr;
+    uint32_t epoch = 0;
+    uint32_t ref_index = 0;
+  };
+  static constexpr size_t kMinSlots = 64;
+
+  void Visit(const PhysicalNode* n) {
+    size_t i = Probe(n);
+    if (slots_[i].epoch == epoch_) {
+      ++refs_[slots_[i].ref_index];
+      return;
+    }
+    const uint32_t index = static_cast<uint32_t>(refs_.size());
+    slots_[i] = Slot{n, epoch_, index};
+    refs_.push_back(1);
+    if (2 * refs_.size() > slots_.size()) Resize(slots_.size() * 2);
+    for (const PhysicalNodePtr& c : n->children) Visit(c.get());
+    order_.push_back(Entry{n, index});
+  }
+
+  /// The node's slot, or the empty slot where it would go.
+  size_t Probe(const PhysicalNode* n) const {
+    size_t i = Mix64(reinterpret_cast<uintptr_t>(n)) & mask_;
+    while (slots_[i].epoch == epoch_ && slots_[i].node != n) {
+      i = (i + 1) & mask_;
+    }
+    return i;
+  }
+
+  void Resize(size_t cap) {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(cap, Slot{});
+    mask_ = cap - 1;
+    for (const Slot& s : old) {
+      if (s.epoch == epoch_) slots_[Probe(s.node)] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  uint32_t epoch_ = 0;
+  std::vector<int> refs_;  ///< consumer count per node, first-visit order
+  std::vector<Entry> order_;
+};
+
+DagWalk& ThreadDagWalk() {
+  thread_local DagWalk walk;
+  return walk;
 }
 
 }  // namespace
@@ -172,14 +243,13 @@ void CollectDag(const PhysicalNodePtr& node,
 double DagCost(const PhysicalNodePtr& root) {
   double memo = root->dag_cost_memo.load(std::memory_order_relaxed);
   if (!std::isnan(memo)) return memo;
-  std::unordered_map<const PhysicalNode*, int> refs;
-  std::vector<const PhysicalNode*> order;
-  CollectDag(root, &refs, &order);
+  DagWalk& walk = ThreadDagWalk();
+  walk.Run(root.get());
   double total = 0;
-  for (const PhysicalNode* n : order) {
-    total += n->own_cost;
-    int extra = refs.at(n) - 1;
-    if (extra > 0) total += extra * n->extra_consumer_cost;
+  for (const DagWalk::Entry& e : walk.order()) {
+    total += e.node->own_cost;
+    int extra = walk.refs(e) - 1;
+    if (extra > 0) total += extra * e.node->extra_consumer_cost;
   }
   root->dag_cost_memo.store(total, std::memory_order_relaxed);
   return total;
@@ -188,10 +258,9 @@ double DagCost(const PhysicalNodePtr& root) {
 double TreeCost(const PhysicalNodePtr& root) { return root->tree_cost; }
 
 int CountDagNodes(const PhysicalNodePtr& root) {
-  std::unordered_map<const PhysicalNode*, int> refs;
-  std::vector<const PhysicalNode*> order;
-  CollectDag(root, &refs, &order);
-  return static_cast<int>(order.size());
+  DagWalk& walk = ThreadDagWalk();
+  walk.Run(root.get());
+  return static_cast<int>(walk.order().size());
 }
 
 namespace {

@@ -59,11 +59,11 @@ Value ScalarExpr::Evaluate(const Row& row, const Schema& schema) const {
         int64_t a = l.as_int(), b = r.as_int();
         switch (op_) {
           case BinOp::kAdd:
-            return Value::Int(a + b);
+            return Value::Int(WrapAdd(a, b));
           case BinOp::kSub:
-            return Value::Int(a - b);
+            return Value::Int(WrapSub(a, b));
           case BinOp::kMul:
-            return Value::Int(a * b);
+            return Value::Int(WrapMul(a, b));
           case BinOp::kDiv:
             break;  // handled above
         }

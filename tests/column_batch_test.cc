@@ -2,16 +2,26 @@
 // row <-> batch converters must be lossless and bit-identical, selection
 // vectors must gather exactly the selected cells, rep adoption/demotion
 // must keep mixed-type columns exact, and the null mask must stay scoped
-// to kernel-level intermediates.
+// to kernel-level intermediates. The batch path's representative-row key
+// table and its typed sort comparator must agree exactly with the row
+// path's materialized-key table and the CompareCells ordering.
 
 #include "exec/column_batch.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <numeric>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "common/value.h"
+#include "exec/row_key_table.h"
+#include "exec/vector_kernels.h"
 
 namespace scx {
 namespace {
@@ -252,6 +262,278 @@ TEST(ColumnBatchTest, PartitionRowConvertersRoundTrip) {
   ASSERT_EQ(live.size(), 2u);
   EXPECT_EQ(live[0], rows[2]);
   EXPECT_EQ(live[1], rows[0]);
+}
+
+// Groups the first `n` rows of `cols` twice: with ColumnKeyTable over the
+// columns (the batch path) and with RowKeyTable over the same rows
+// materialized (the row path). Hashes, dense ids, insert flags and the key
+// values gathered at the representatives must all agree. Returns the
+// batch path's dense id per row.
+std::vector<size_t> ExpectSameGrouping(const std::vector<ColumnVector>& cols,
+                                       size_t n, size_t expected_keys) {
+  std::vector<const ColumnVector*> keys;
+  for (const ColumnVector& c : cols) keys.push_back(&c);
+  std::vector<int> positions(cols.size());
+  std::iota(positions.begin(), positions.end(), 0);
+  std::vector<uint64_t> hashes(n, kRowKeySeed);
+  for (const ColumnVector* c : keys) HashColumnCells(*c, n, hashes.data());
+
+  ColumnKeyTable table(keys, expected_keys);
+  RowKeyTable ref(expected_keys);
+  std::vector<size_t> ids;
+  for (size_t r = 0; r < n; ++r) {
+    Row row;
+    for (const ColumnVector* c : keys) row.push_back(c->ValueAt(r));
+    EXPECT_EQ(hashes[r], HashRowKey(row, positions)) << "row " << r;
+    auto [id, inserted] = table.FindOrInsert(r, hashes[r]);
+    auto [ref_id, ref_inserted] = ref.FindOrInsert(row, positions);
+    EXPECT_EQ(id, ref_id) << "row " << r;
+    EXPECT_EQ(inserted, ref_inserted) << "row " << r;
+    ids.push_back(id);
+  }
+  EXPECT_EQ(table.size(), ref.size());
+  EXPECT_EQ(table.reps().size(), table.size());
+  for (size_t j = 0; j < cols.size(); ++j) {
+    ColumnVector gathered = GatherColumn(cols[j], table.reps());
+    EXPECT_EQ(gathered.size(), table.size());
+    if (gathered.size() != table.size()) continue;
+    for (size_t id = 0; id < table.size(); ++id) {
+      const Value got = gathered.ValueAt(id);
+      const Value want = ref.KeyAt(id)[j];
+      // Bitwise, so NaN keys compare too.
+      EXPECT_EQ(got.ToString(), want.ToString()) << "key " << id;
+      EXPECT_EQ(got.type(), want.type()) << "key " << id;
+    }
+  }
+  return ids;
+}
+
+TEST(ColumnKeyTableTest, NaNKeysNeverMatchAndSignedZerosDo) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ColumnVector col;
+  for (double d : {1.0, nan, 1.0, nan, -0.0, 0.0, nan}) {
+    col.AppendValue(Value::Real(d));
+  }
+  std::vector<size_t> ids = ExpectSameGrouping({col}, col.size(), 0);
+  // Value equality: every NaN row opens its own group; -0.0 == 0.0.
+  EXPECT_EQ(ids, (std::vector<size_t>{0, 1, 0, 2, 3, 3, 4}));
+}
+
+TEST(ColumnKeyTableTest, NullKeysCompareByPlaceholderLikeCellEquals) {
+  // CellEquals ignores the null mask (nulls exist only in kernel-level
+  // intermediates), so a null int cell keys like its 0 placeholder.
+  ColumnVector col(ColumnRep::kInt64);
+  col.AppendValue(Value::Int(0));
+  col.AppendNull();
+  col.AppendValue(Value::Int(5));
+  col.AppendNull();
+  ASSERT_EQ(col.null_count(), 2u);
+  std::vector<size_t> ids = ExpectSameGrouping({col}, col.size(), 0);
+  EXPECT_EQ(ids, (std::vector<size_t>{0, 0, 1, 0}));
+}
+
+TEST(ColumnKeyTableTest, MixedIntDoubleValueColumnKeepsTypesApart) {
+  ColumnVector mixed;  // demotes to kValue on the first double
+  ColumnVector ints;
+  const Value cells[] = {Value::Int(1), Value::Real(1.0), Value::Int(1),
+                         Value::Real(1.0), Value::Int(2), Value::Real(2.0)};
+  for (size_t i = 0; i < 6; ++i) {
+    mixed.AppendValue(cells[i]);
+    ints.AppendValue(Value::Int(static_cast<int64_t>(i % 2)));
+  }
+  ASSERT_EQ(mixed.rep(), ColumnRep::kValue);
+  std::vector<size_t> ids = ExpectSameGrouping({mixed}, 6, 0);
+  EXPECT_EQ(ids, (std::vector<size_t>{0, 1, 0, 1, 2, 3}));
+  ExpectSameGrouping({ints, mixed}, 6, 0);
+}
+
+TEST(ColumnKeyTableTest, StringKeys) {
+  ColumnVector col;
+  for (const char* s : {"a", "b", "a", "", "b", "", "ab"}) {
+    col.AppendValue(Value::Str(s));
+  }
+  std::vector<size_t> ids = ExpectSameGrouping({col}, col.size(), 0);
+  EXPECT_EQ(ids, (std::vector<size_t>{0, 1, 0, 2, 1, 2, 3}));
+}
+
+TEST(ColumnKeyTableTest, GrandTotalOverZeroAndManyRows) {
+  // No key columns: zero rows give zero groups, any rows give one group.
+  ColumnKeyTable empty({}, 0);
+  EXPECT_EQ(empty.size(), 0u);
+  ColumnKeyTable total({}, 0);
+  for (size_t r = 0; r < 100; ++r) {
+    EXPECT_EQ(total.FindOrInsert(r, kRowKeySeed).first, 0u);
+  }
+  EXPECT_EQ(total.size(), 1u);
+  EXPECT_EQ(total.reps(), SelectionVector{0});
+}
+
+TEST(ColumnKeyTableTest, GrowsPastInitialCapacity) {
+  // 1000 distinct composite keys (each seen twice) into a table sized for
+  // none: the index rehashes several times mid-scan and the ids must still
+  // be the row path's.
+  ColumnVector a, b;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int64_t k = 0; k < 1000; ++k) {
+      a.AppendValue(Value::Int(k % 37));
+      b.AppendValue(Value::Str("s" + std::to_string(k / 37)));
+    }
+  }
+  std::vector<size_t> ids = ExpectSameGrouping({a, b}, a.size(), 0);
+  for (size_t r = 0; r < 1000; ++r) {
+    EXPECT_EQ(ids[r], r);
+    EXPECT_EQ(ids[r + 1000], r);
+  }
+}
+
+TEST(ColumnKeyTableTest, FindProbesAnotherColumnWithValueEquality) {
+  // Build on an int column, probe with a mixed column: Int(2) matches,
+  // Real(2.0) does not (Value equality), exactly like RowKeyTable::Find.
+  ColumnVector build;
+  for (int64_t v : {2, 4, 2}) build.AppendValue(Value::Int(v));
+  std::vector<uint64_t> bh(3, kRowKeySeed);
+  HashColumnCells(build, 3, bh.data());
+  ColumnKeyTable table({&build}, 3);
+  RowKeyTable ref(3);
+  for (size_t r = 0; r < 3; ++r) {
+    table.FindOrInsert(r, bh[r]);
+    ref.FindOrInsert(Row{build.ValueAt(r)}, {0});
+  }
+  ColumnVector probe;
+  for (const Value& v : {Value::Int(4), Value::Real(2.0), Value::Int(2),
+                         Value::Str("2"), Value::Int(3)}) {
+    probe.AppendValue(v);
+  }
+  std::vector<uint64_t> ph(probe.size(), kRowKeySeed);
+  HashColumnCells(probe, probe.size(), ph.data());
+  std::vector<size_t> found;
+  for (size_t i = 0; i < probe.size(); ++i) {
+    size_t id = table.Find({&probe}, i, ph[i]);
+    EXPECT_EQ(id, ref.Find(Row{probe.ValueAt(i)}, {0})) << "probe " << i;
+    found.push_back(id);
+  }
+  EXPECT_EQ(found, (std::vector<size_t>{1, ColumnKeyTable::kNotFound, 0,
+                                        ColumnKeyTable::kNotFound,
+                                        ColumnKeyTable::kNotFound}));
+}
+
+// The sort key column kinds the typed comparator specializes on.
+enum class KeyKind { kInt, kDouble, kString, kValue, kDemoted, kNulls };
+
+const KeyKind kAllKinds[] = {KeyKind::kInt,    KeyKind::kDouble,
+                             KeyKind::kString, KeyKind::kValue,
+                             KeyKind::kDemoted, KeyKind::kNulls};
+
+// `n` cells of the given kind from small domains, so sorts see many ties
+// and later keys break them.
+ColumnVector KeyColumn(KeyKind kind, size_t n, bool with_nan, uint32_t seed) {
+  std::mt19937 rng(seed);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double doubles[] = {-0.0, 0.0, 1.5, -2.0,
+                            std::numeric_limits<double>::infinity(),
+                            with_nan ? nan : 3.0};
+  const char* strings[] = {"", "a", "b", "ab"};
+  ColumnVector col;
+  if (kind == KeyKind::kValue) col = ColumnVector(ColumnRep::kValue);
+  if (kind == KeyKind::kNulls) col = ColumnVector(ColumnRep::kInt64);
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t x = rng();
+    switch (kind) {
+      case KeyKind::kInt:
+        col.AppendValue(Value::Int(static_cast<int64_t>(x % 4) - 1));
+        break;
+      case KeyKind::kDouble:
+        col.AppendValue(Value::Real(doubles[x % 6]));
+        break;
+      case KeyKind::kString:
+        col.AppendValue(Value::Str(strings[x % 4]));
+        break;
+      case KeyKind::kValue:
+      case KeyKind::kDemoted:
+        // kDemoted starts typed (int) and demotes at its first non-int.
+        if (i < n / 2 && kind == KeyKind::kDemoted) {
+          col.AppendValue(Value::Int(x % 3));
+        } else if (x % 3 == 0) {
+          col.AppendValue(Value::Int(x % 2));
+        } else if (x % 3 == 1) {
+          col.AppendValue(Value::Real(doubles[x % 6]));
+        } else {
+          col.AppendValue(Value::Str(strings[x % 4]));
+        }
+        break;
+      case KeyKind::kNulls:
+        if (x % 3 == 0) {
+          col.AppendNull();
+        } else {
+          col.AppendValue(Value::Int(x % 3));
+        }
+        break;
+    }
+  }
+  return col;
+}
+
+SelectionVector Identity(size_t n) {
+  SelectionVector perm(n);
+  std::iota(perm.begin(), perm.end(), 0u);
+  return perm;
+}
+
+SelectionVector SortWithCompareCells(const std::vector<ColumnVector>& cols,
+                                     SelectionVector perm) {
+  std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
+    for (const ColumnVector& col : cols) {
+      int c = CompareCells(col, a, col, b);
+      if (c != 0) return c < 0;
+    }
+    return false;
+  });
+  return perm;
+}
+
+SelectionVector SortTyped(const std::vector<ColumnVector>& cols,
+                          SelectionVector perm) {
+  std::vector<const ColumnVector*> keys;
+  for (const ColumnVector& col : cols) keys.push_back(&col);
+  SortRowIndices(keys, &perm);
+  return perm;
+}
+
+TEST(SortRowIndicesTest, SameTwoKeyPermutationAsCompareCellsForEveryRepPair) {
+  // 16 rows (NaN included: insertion-sort range, where a NaN key cannot
+  // walk std::sort out of bounds) and 300 rows (introsort partitioning;
+  // no NaN, whose incomparability is not a strict weak order).
+  for (auto [n, with_nan] : {std::pair<size_t, bool>{16, true},
+                             std::pair<size_t, bool>{300, false}}) {
+    uint32_t seed = 1;
+    for (KeyKind k1 : kAllKinds) {
+      for (KeyKind k2 : kAllKinds) {
+        std::vector<ColumnVector> cols = {KeyColumn(k1, n, with_nan, seed),
+                                          KeyColumn(k2, n, with_nan, seed + 1)};
+        seed += 2;
+        if (k1 == KeyKind::kDemoted) {
+          ASSERT_EQ(cols[0].rep(), ColumnRep::kValue);
+        }
+        // Sorted from identity, and from a selection-like subset.
+        SelectionVector all = Identity(n);
+        EXPECT_EQ(SortTyped(cols, all), SortWithCompareCells(cols, all))
+            << "kinds " << static_cast<int>(k1) << "," << static_cast<int>(k2)
+            << " n " << n;
+        SelectionVector odd;
+        for (uint32_t i = 1; i < n; i += 2) odd.push_back(i);
+        EXPECT_EQ(SortTyped(cols, odd), SortWithCompareCells(cols, odd));
+        // Single-key sorts take the raw-payload fast path.
+        std::vector<ColumnVector> one = {cols[0]};
+        EXPECT_EQ(SortTyped(one, all), SortWithCompareCells(one, all))
+            << "kind " << static_cast<int>(k1) << " n " << n;
+      }
+    }
+  }
+}
+
+TEST(SortRowIndicesTest, NoKeysLeavesEveryRowTied) {
+  SelectionVector perm = Identity(40);
+  EXPECT_EQ(SortTyped({}, perm), SortWithCompareCells({}, perm));
 }
 
 TEST(NumBatchesTest, CeilDivisionAndEdgeCases) {
