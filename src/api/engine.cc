@@ -50,6 +50,11 @@ std::shared_ptr<Optimizer> MakeOptimizer(
 Result<OptimizedScript> Engine::OptimizeBound(
     const BoundScript& bound, OptimizerMode mode,
     const std::vector<LogicalNodePtr>& script_roots) const {
+  // The executor rejects a cluster without machines the same way.
+  if (config_.cluster.machines < 1) {
+    return Status::InvalidArgument("cluster needs at least one machine, got " +
+                                   std::to_string(config_.cluster.machines));
+  }
   auto optimizer = MakeOptimizer(bound, script_roots, config_);
   SCX_ASSIGN_OR_RETURN(OptimizeResult result, optimizer->Run(mode));
   SCX_RETURN_IF_ERROR(ValidatePlan(result.plan));

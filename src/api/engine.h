@@ -75,7 +75,9 @@ class Engine {
   Result<CompiledScript> Compile(const std::string& source) const;
 
   /// Builds a fresh memo from the compiled script and runs the optimizer in
-  /// the requested mode.
+  /// the requested mode. InvalidArgument when config().cluster has fewer
+  /// than one machine (as from every entry point that optimizes or
+  /// executes).
   Result<OptimizedScript> Optimize(const CompiledScript& script,
                                    OptimizerMode mode) const;
 

@@ -87,13 +87,8 @@ struct ClusterConfig {
   /// 1 = the exact serial path. Results are bit-identical for every value
   /// (see docs/architecture.md §12). Ignored by the cost model.
   int exec_threads = 0;
-  /// Rows per column batch in the vectorized executor kernels.
-  /// 0 = DefaultBatchSize() (SCX_BATCH_SIZE or 4096); 1 = the exact legacy
-  /// row-at-a-time path. Results are bit-identical for every value (see
-  /// docs/architecture.md §14). Ignored by the cost model.
-  int batch_size = 0;
   /// Live rows per morsel when one partition's work is split across worker
-  /// threads (batch pipeline only). 0 = DefaultMorselSize() (SCX_MORSEL_SIZE
+  /// threads. 0 = DefaultMorselSize() (SCX_MORSEL_SIZE
   /// or 16384); values at or above the partition size degenerate to one
   /// whole-partition job. Results are bit-identical for every value (see
   /// docs/architecture.md §15). Ignored by the cost model.

@@ -1,12 +1,6 @@
-// The batch-native execution pipeline (cluster.batch_size > 1): operators
-// consume and produce BatchData — immutable shared columns plus selection
-// vectors — end to end. Rows exist only at Output (the sanctioned sink
-// conversion); no operator bridges back to the row path any more
-// (ExecMetrics::batch_pipeline_breaks is a tripwire held at 0). The legacy
-// row pipeline in executor.cc stays verbatim at batch_size 1 as the
-// differential anchor; every loop here is constructed to yield bit-identical
-// raw outputs and legacy counters — see docs/architecture.md §14 for the
-// argument.
+// The execution pipeline: operators consume and produce BatchData —
+// immutable shared columns plus selection vectors — end to end. Rows exist
+// only at Output, the sink.
 //
 // Intra-partition parallelism: the heavy scans (chain pipelines, key
 // hashing, aggregate/join table builds, probe scans, exchange binning) are
@@ -25,7 +19,7 @@
 #include "common/hash.h"
 #include "exec/exec_detail.h"
 #include "exec/executor.h"
-#include "exec/row_key_table.h"
+#include "exec/key_table.h"
 #include "exec/spool_cache.h"
 #include "exec/vector_kernels.h"
 #include "plan/expr_cse.h"
@@ -38,13 +32,13 @@ using exec_detail::AggState;
 using exec_detail::FinalizeAggCell;
 using exec_detail::SyntheticValue;
 
-/// Total batch_size-chunks needed to process every partition's live rows —
-/// the batch pipeline's batches_evaluated accounting (the pipeline operates
-/// on whole partitions, so this is bookkeeping, not a physical chunking).
-int64_t LiveBatches(const BatchData& d, size_t batch_size) {
+/// Executor::kBatchRows-row batches needed to process every partition's
+/// live rows — the batches_evaluated accounting (the pipeline operates on
+/// whole partitions, so this is bookkeeping, not a physical chunking).
+int64_t LiveBatches(const BatchData& d) {
   int64_t n = 0;
   for (const BatchPartition& p : d.partitions) {
-    n += NumBatches(p.LiveRows(), batch_size);
+    n += NumBatches(p.LiveRows(), Executor::kBatchRows);
   }
   return n;
 }
@@ -83,11 +77,10 @@ BatchPartition ConcatLive(const BatchData& in) {
 
 /// The partition's live rows sorted on `positions` (all ascending), as a
 /// dense partition. Sorts a permutation of live physical indices with
-/// SortRowIndices, whose comparison outcomes are those of the row path's
-/// SortRows: std::sort's control flow depends only on the comparator
-/// outcomes and the element count, both identical to sorting the
-/// materialized rows, so the resulting row order is bit-identical to the
-/// legacy path's.
+/// SortRowIndices, whose comparison outcomes are those of Value's ordering
+/// on the materialized rows. std::sort's control flow depends only on the
+/// comparator outcomes and the element count, so the row order is a
+/// function of the data alone.
 BatchPartition SortedPartition(const BatchPartition& part,
                                const std::vector<int>& positions) {
   SelectionVector perm;
@@ -115,7 +108,7 @@ BatchPartition SortedPartition(const BatchPartition& part,
 }
 
 /// Cell as double with ScalarExpr/Value::AsNumeric semantics (typed fast
-/// paths; the kValue fallback aborts on strings exactly like the row path).
+/// paths; the kValue fallback aborts on strings exactly like AsNumeric).
 inline double NumericCell(const ColumnVector& col, size_t r) {
   switch (col.rep()) {
     case ColumnRep::kInt64:
@@ -130,8 +123,8 @@ inline double NumericCell(const ColumnVector& col, size_t r) {
 /// Column-major aggregate update: folds one whole argument column into the
 /// per-group states of aggregate `agg_index`. `ids[r]` is row r's dense
 /// group id. Per (group, aggregate) pair the update order is the column's
-/// row order — exactly the row-at-a-time loop's order, so every partial
-/// (including float sums) is bit-identical to the legacy path.
+/// row order, so every partial (including float sums) is the one a
+/// row-at-a-time loop over the partition computes.
 void UpdateAggColumnar(const AggregateDesc& a, bool global,
                        const ColumnVector* arg, const ColumnVector* hidden,
                        const std::vector<size_t>& ids, size_t naggs,
@@ -259,9 +252,9 @@ bool ScheduleFilters(const PipelineSchedule& sched) {
 /// row space without touching a column; a compute stage that actually
 /// evaluates (has_eval) first compacts the live rows — gathering every
 /// still-needed column through the selection, or slicing the morsel's dense
-/// range — so expressions run densely over exactly the rows the
-/// row-at-a-time path evaluates them on (never on filtered-out rows, which
-/// could abort on type errors the legacy path never sees).
+/// range — so expressions run densely over exactly the rows that passed
+/// the filters (never on filtered-out rows, which could abort on type
+/// errors a row-at-a-time evaluation never sees).
 ///
 /// `stage_live[si]` accumulates the live rows entering stage si; the caller
 /// sums them across a partition's morsels before converting to batch counts,
@@ -435,9 +428,11 @@ bool IsChainOp(PhysicalOpKind kind) {
 Result<BatchData> Executor::EvalBatch(const PhysicalNodePtr& node,
                                       ExecMetrics* metrics) {
   if (!fault_enabled_ || in_recovery_) return EvalBatchInner(node, metrics);
-  // Pass ids are pre-order, captured before the children consume ids —
-  // mirrors Eval (executor.cc). Fused chain interiors share their head's
-  // pass: the chain is one failure domain, like one SCOPE stage.
+  // Pass ids are pre-order: the id EvalBatchInner assigns to this node
+  // before it descends into its children, captured here so the failure
+  // decision never depends on how many passes the children consumed. Fused
+  // chain interiors share their head's pass: the chain is one failure
+  // domain, like one SCOPE stage.
   int64_t pass = metrics->operator_invocations + 1;
   SCX_ASSIGN_OR_RETURN(BatchData out, EvalBatchInner(node, metrics));
   SCX_RETURN_IF_ERROR(InjectFaultsBatch(node, pass, &out, metrics));
@@ -489,7 +484,7 @@ Status Executor::RecoverPartitionBatch(const PhysicalNodePtr& node, size_t m,
     }
     if (cross_cache_ != nullptr) {
       CrossQuerySpoolCache::PinnedEntry pin =
-          cross_cache_->Pin(CrossKeyFor(*node, /*batch=*/true));
+          cross_cache_->Pin(CrossKeyFor(*node));
       if (pin && m < pin.batch().partitions.size()) {
         out->partitions[m] = pin.batch().partitions[m];
         ++metrics->recovery_spool_hits;
@@ -497,13 +492,14 @@ Status Executor::RecoverPartitionBatch(const PhysicalNodePtr& node, size_t m,
       }
     }
   }
-  // Deterministic side-effect-free recomputation — see RecoverPartition
-  // (executor.cc) for the contract.
+  // No surviving spool: deterministically recompute the lost sub-DAG.
+  // Recovery mode is side-effect-free — scratch metrics, read-only spool
+  // lookups, recomputed spools memoized in a recovery-local overlay — so
+  // every pre-existing counter stays bit-identical to the clean run.
   ExecMetrics scratch;
   in_recovery_ = true;
   auto recomputed = EvalBatchInner(node, &scratch);
   in_recovery_ = false;
-  recovery_overlay_.clear();
   recovery_batch_overlay_.clear();
   if (!recomputed.ok()) return recomputed.status();
   metrics->rows_recomputed += recomputed->TotalLiveRows();
@@ -535,7 +531,7 @@ Result<BatchData> Executor::RecoverySpoolBatch(const PhysicalNodePtr& node,
   }
   if (allow_reads && cross_cache_ != nullptr) {
     CrossQuerySpoolCache::PinnedEntry pin =
-        cross_cache_->Pin(CrossKeyFor(*node, /*batch=*/true));
+        cross_cache_->Pin(CrossKeyFor(*node));
     if (pin) {
       ++scratch->spool_reads;
       ++scratch->spool_cache_hits;
@@ -619,7 +615,7 @@ Result<BatchData> Executor::EvalBatchInner(const PhysicalNodePtr& node,
         return it->second;
       }
       if (cross_cache_ != nullptr) {
-        SpoolCacheKey key = CrossKeyFor(*node, /*batch=*/true);
+        SpoolCacheKey key = CrossKeyFor(*node);
         if (auto hit = cross_cache_->LookupBatch(key)) {
           // Served by an earlier execution (shared immutable columns): no
           // materialization work, no bytes_spooled.
@@ -642,7 +638,7 @@ Result<BatchData> Executor::EvalBatchInner(const PhysicalNodePtr& node,
       ++metrics->spool_executions;
       ++metrics->spool_reads;
       if (cross_cache_ != nullptr) {
-        cross_cache_->InsertBatch(CrossKeyFor(*node, /*batch=*/true), in,
+        cross_cache_->InsertBatch(CrossKeyFor(*node), in,
                                   DagCost(node->children[0]),
                                   &metrics->spool_bytes_evicted);
       }
@@ -658,9 +654,8 @@ Result<BatchData> Executor::EvalBatchInner(const PhysicalNodePtr& node,
 
     case PhysicalOpKind::kOutput: {
       SCX_ASSIGN_OR_RETURN(BatchData in, EvalBatch(node->children[0], metrics));
-      // The one sanctioned columns->rows conversion: the output sink is a
-      // row container. Not counted as rows_converted, which tracks only
-      // unsanctioned mid-pipeline bridges (and therefore stays 0).
+      // The one columns->rows conversion: the output sink is a row
+      // container.
       size_t machines = in.partitions.size();
       std::vector<Row> rows;
       rows.reserve(static_cast<size_t>(in.TotalLiveRows()));
@@ -769,8 +764,8 @@ Result<BatchData> Executor::EvalExtractBatch(const PhysicalNode& node,
     file_cols.push_back(idx);
   }
   // Row i lands on machine i % machines; machine m synthesizes rows
-  // m, m + machines, ... straight into columns — cell-for-cell the rows
-  // the legacy extract builds, without ever materializing one.
+  // m, m + machines, ... straight into columns, without ever
+  // materializing a row.
   int64_t rows = file.row_count;
   RunPartitions(machines, rows, [&](size_t m) {
     BatchPartition& part = out.partitions[m];
@@ -811,7 +806,7 @@ Result<BatchData> Executor::EvalChainBatch(const PhysicalNodePtr& head,
     cur = cur->children[0];
   }
   // EvalBatch already counted the head; the interior nodes are operator
-  // invocations of their own, exactly as the per-node row path counts them.
+  // invocations of their own, one per plan node.
   metrics->operator_invocations += static_cast<int64_t>(chain.size()) - 1;
   SCX_ASSIGN_OR_RETURN(BatchData in, EvalBatch(cur, metrics));
 
@@ -865,7 +860,7 @@ Result<BatchData> Executor::EvalChainBatch(const PhysicalNodePtr& head,
     for (size_t p = 0; p < nparts; ++p) {
       metrics->batches_evaluated +=
           static_cast<int64_t>(nstages) *
-          NumBatches(in.partitions[p].LiveRows(), batch_size_);
+          NumBatches(in.partitions[p].LiveRows(), kBatchRows);
     }
     return out;
   }
@@ -942,7 +937,7 @@ Result<BatchData> Executor::EvalChainBatch(const PhysicalNodePtr& head,
       int64_t rows_at_stage = 0;
       for (const std::vector<int64_t>& m : mlive[p]) rows_at_stage += m[s];
       metrics->batches_evaluated +=
-          NumBatches(static_cast<size_t>(rows_at_stage), batch_size_);
+          NumBatches(static_cast<size_t>(rows_at_stage), kBatchRows);
     }
   }
   return out;
@@ -973,7 +968,7 @@ Result<BatchData> Executor::EvalAggregateBatch(const PhysicalNode& node,
   BatchData out;
   out.schema = proto.schema();
   out.partitions.resize(in.partitions.size());
-  metrics->batches_evaluated += LiveBatches(in, batch_size_);
+  metrics->batches_evaluated += LiveBatches(in);
 
   const size_t in_width = in.schema.columns().size();
   const size_t nparts = in.partitions.size();
@@ -1070,7 +1065,7 @@ Result<BatchData> Executor::EvalAggregateBatch(const PhysicalNode& node,
 
   // Pass 5 (partition-parallel): finalize straight into columns: key
   // columns gathered at the representative rows, then per aggregate the
-  // output column (plus a local Avg's hidden partial count) — the legacy
+  // output column (plus a local Avg's hidden partial count) — the output
   // row layout, column-major.
   int64_t groups = 0;
   for (const PartAgg& st : ps) groups += static_cast<int64_t>(st.reps.size());
@@ -1132,7 +1127,7 @@ Result<BatchData> Executor::EvalJoinBatch(const PhysicalNode& node,
   out.schema = proto.schema();
   out.partitions.resize(left.partitions.size());
   metrics->batches_evaluated +=
-      LiveBatches(right, batch_size_) + LiveBatches(left, batch_size_);
+      LiveBatches(right) + LiveBatches(left);
 
   const size_t nleft = left.schema.columns().size();
   const size_t nright = right.schema.columns().size();
@@ -1161,7 +1156,7 @@ Result<BatchData> Executor::EvalJoinBatch(const PhysicalNode& node,
     std::vector<std::vector<uint32_t>> rows_by_key;
     std::vector<const ColumnVector*> probe_keys;
     std::vector<SelectionVector> mli, mbi;  ///< per probe morsel
-    SelectionVector li, bi;  ///< surviving pairs, legacy emit order
+    SelectionVector li, bi;  ///< surviving pairs, in emit order
   };
   std::vector<PartJoin> js(nparts);
   std::vector<size_t> blive(nparts), plive(nparts);
@@ -1223,8 +1218,8 @@ Result<BatchData> Executor::EvalJoinBatch(const PhysicalNode& node,
   });
 
   // Pass 4 (morsel-parallel): hash this morsel's probe keys and scan. The
-  // emit order inside a morsel is the legacy one (probe row order outer,
-  // build insertion order within a key group), collected per morsel.
+  // emit order inside a morsel is probe row order outer, build insertion
+  // order within a key group, collected per morsel.
   RunMorsels(plive, metrics, [&](size_t p, size_t b, size_t e) {
     PartJoin& st = js[p];
     const size_t m = b / morsel_size_;
@@ -1302,7 +1297,7 @@ BatchData Executor::ExchangeBatch(const PhysicalNode& node, BatchData in,
       in.schema.PositionsOf(node.exchange_cols.ToVector());
   metrics->bytes_shuffled += in.TotalLiveBytes();
   metrics->rows_shuffled += in.TotalLiveRows();
-  metrics->batches_evaluated += LiveBatches(in, batch_size_);
+  metrics->batches_evaluated += LiveBatches(in);
 
   const size_t nsrc = in.partitions.size();
   const size_t width = in.schema.columns().size();
@@ -1341,8 +1336,8 @@ BatchData Executor::ExchangeBatch(const PhysicalNode& node, BatchData in,
     }
   });
   // Phase 2: per destination, concatenate the column slices source-major,
-  // morsel order within a source — the exact row order of the legacy
-  // two-phase move scatter.
+  // morsel order within a source — a row order independent of the morsel
+  // size and the thread count.
   BatchData out;
   out.schema = std::move(in.schema);
   out.partitions.resize(machines);
@@ -1387,7 +1382,7 @@ BatchData Executor::RangeExchangeBatch(const PhysicalNode& node, BatchData in,
   const size_t nsrc = in.partitions.size();
   metrics->bytes_shuffled += in.TotalLiveBytes();
   metrics->rows_shuffled += in.TotalLiveRows();
-  metrics->batches_evaluated += LiveBatches(in, batch_size_);
+  metrics->batches_evaluated += LiveBatches(in);
 
   // Dense live views of the key columns per source, and the whole key
   // multiset concatenated (partition order, live order) for the boundary
@@ -1410,11 +1405,11 @@ BatchData Executor::RangeExchangeBatch(const PhysicalNode& node, BatchData in,
   }
 
   // Boundary computation by exact quantiles over the key multiset — the
-  // simulation stand-in for SCOPE's sampling pass, now columnar: sort an
-  // index permutation with the row path's exact cell comparator and read
-  // the boundary rows at the legacy quantile indices. Value's ordering is
-  // total, so the value sequence of the sorted multiset — and with it every
-  // boundary — is identical to the legacy row sort's.
+  // simulation stand-in for SCOPE's sampling pass: sort an index
+  // permutation with Value's cell comparator and read the boundary rows at
+  // the quantile indices i * n / machines. Value's ordering is total, so
+  // the value sequence of the sorted multiset — and with it every boundary
+  // — does not depend on the input order.
   std::vector<uint32_t> perm(total_live);
   for (uint32_t i = 0; i < static_cast<uint32_t>(total_live); ++i) {
     perm[i] = i;
@@ -1433,9 +1428,8 @@ BatchData Executor::RangeExchangeBatch(const PhysicalNode& node, BatchData in,
   }
 
   // Scatter: morsel jobs compute each live row's destination — an
-  // upper_bound over the boundaries, cell-vs-Value comparisons, identical
-  // outcomes to the legacy key-vector upper_bound — and bin the physical
-  // row indices per (source, morsel, destination).
+  // upper_bound over the boundaries with cell-vs-Value comparisons — and
+  // bin the physical row indices per (source, morsel, destination).
   std::vector<size_t> live(nsrc);
   std::vector<std::vector<std::vector<SelectionVector>>> bins(nsrc);
   for (size_t s = 0; s < nsrc; ++s) {
@@ -1469,7 +1463,7 @@ BatchData Executor::RangeExchangeBatch(const PhysicalNode& node, BatchData in,
   });
 
   // Gather per destination: source-major, morsel order within a source —
-  // the legacy two-phase scatter's exact row order.
+  // the same row order as the hash exchange's.
   BatchData out;
   out.schema = std::move(in.schema);
   out.partitions.resize(machines);

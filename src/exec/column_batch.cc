@@ -8,14 +8,6 @@
 
 namespace scx {
 
-int DefaultBatchSize() {
-  if (const char* env = std::getenv("SCX_BATCH_SIZE")) {
-    int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return 4096;
-}
-
 int DefaultMorselSize() {
   if (const char* env = std::getenv("SCX_MORSEL_SIZE")) {
     int v = std::atoi(env);

@@ -11,12 +11,6 @@
 
 namespace scx {
 
-/// Default rows-per-batch for the vectorized executor kernels: the
-/// SCX_BATCH_SIZE environment variable when set to a positive integer,
-/// otherwise 4096. A value of 1 selects the exact legacy row-at-a-time
-/// loops (the differential-testing anchor).
-int DefaultBatchSize();
-
 /// Default live rows per intra-partition morsel: the SCX_MORSEL_SIZE
 /// environment variable when set to a positive integer, otherwise 16384.
 /// Every value yields bit-identical results (docs/architecture.md §15);
@@ -152,7 +146,7 @@ int CompareCells(const ColumnVector& a, size_t i, const ColumnVector& b,
 /// directly; every such comparison outcome equals CompareCells', and
 /// std::sort's control flow depends only on those outcomes and the element
 /// count, so the resulting permutation is exactly the CompareCells sort's
-/// (and the row path's).
+/// (and that of sorting the materialized rows with Value's ordering).
 void SortRowIndices(const std::vector<const ColumnVector*>& keys,
                     SelectionVector* perm);
 
@@ -193,8 +187,8 @@ int64_t ColumnLiveBytes(const ColumnVector& col, const SelectionVector* sel);
 // ---------------------------------------------------------------------------
 // Batch-native operator boundaries (docs/architecture.md §14).
 //
-// When batch_size > 1 the executor's operators exchange BatchData instead of
-// row vectors: one BatchPartition per simulated machine, each a set of
+// The executor's operators exchange BatchData: one BatchPartition per
+// simulated machine, each a set of
 // immutable, shareable columns plus an optional selection vector. Columns
 // are reference-counted so a spool cache hit or a broadcast hands consumers
 // the same physical column storage instead of copying rows; a filter's
@@ -237,8 +231,7 @@ struct BatchPartition {
   ColumnBatchView View() const;
 };
 
-/// A whole operator output, split across the simulated cluster's machines —
-/// the columnar analogue of PartitionedData.
+/// A whole operator output, split across the simulated cluster's machines.
 struct BatchData {
   Schema schema;
   std::vector<BatchPartition> partitions;
@@ -252,21 +245,20 @@ struct BatchData {
 /// copy) — the spool materialization fast path.
 BatchPartition CompactPartition(const BatchPartition& part);
 
-/// Full-width rows -> columns conversion for one partition (the bridge into
-/// the batch pipeline; the caller accounts rows_converted).
+/// Full-width rows -> columns conversion for one partition (builds kernel
+/// inputs from literal rows).
 BatchPartition PartitionFromRows(const std::vector<Row>& rows,
                                  size_t num_columns);
 
 /// Appends the partition's live rows (selection order) to `out` — the
-/// bridge out of the batch pipeline, used at Output and by row-only
-/// operators (the caller accounts rows_converted).
+/// conversion at Output.
 void AppendPartitionRows(const BatchPartition& part, std::vector<Row>* out);
 
-/// Splits [0, n) into batches of at most `batch_size` rows and returns the
-/// number of batches (the executor's batches_evaluated accounting).
-inline int64_t NumBatches(size_t n, size_t batch_size) {
-  if (n == 0 || batch_size == 0) return 0;
-  return static_cast<int64_t>((n + batch_size - 1) / batch_size);
+/// Splits [0, n) into batches of at most `rows_per_batch` rows and returns
+/// the number of batches (the executor's batches_evaluated accounting).
+inline int64_t NumBatches(size_t n, size_t rows_per_batch) {
+  if (n == 0 || rows_per_batch == 0) return 0;
+  return static_cast<int64_t>((n + rows_per_batch - 1) / rows_per_batch);
 }
 
 }  // namespace scx

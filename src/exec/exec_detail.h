@@ -1,10 +1,10 @@
 #ifndef SCX_EXEC_EXEC_DETAIL_H_
 #define SCX_EXEC_EXEC_DETAIL_H_
 
-// Internal helpers shared by the executor's two pipelines (the legacy row
-// path in executor.cc and the batch-native pipeline in batch_executor.cc).
-// Both paths MUST produce bit-identical results, so anything with per-cell
-// arithmetic lives here exactly once instead of being reimplemented twice.
+// Row semantics shared by the executor (batch_executor.cc) and the
+// reference evaluator (testing/reference_eval.cc): the synthetic data and
+// the aggregate state and finalization. The two must agree exactly, so
+// these live here once instead of being reimplemented twice.
 
 #include <cstdint>
 

@@ -19,21 +19,6 @@ namespace scx {
 class CrossQuerySpoolCache;
 struct SpoolCacheKey;
 
-/// Rows of one operator's output, split across the simulated cluster's
-/// machines. Row vectors are positionally aligned with the producing
-/// operator's schema.
-struct PartitionedData {
-  Schema schema;
-  std::vector<std::vector<Row>> partitions;
-
-  int64_t TotalRows() const;
-  int64_t TotalBytes() const;
-  /// All rows concatenated (partition order).
-  std::vector<Row> Gathered() const;
-  /// Gathered(), but moving the rows out; the partitions are left empty.
-  std::vector<Row> TakeGathered();
-};
-
 /// Counters accumulated while executing a plan on the simulated cluster.
 struct ExecMetrics {
   int64_t rows_extracted = 0;
@@ -59,28 +44,19 @@ struct ExecMetrics {
   int64_t spool_bytes_evicted = 0;
   int64_t operator_invocations = 0;
   int64_t rows_output = 0;
-  /// Column batches processed by the vectorized kernels (filter, project,
-  /// compute, aggregate, join build/probe, hash-exchange key hashing).
-  /// 0 when batch_size is 1 (the legacy row path).
+  /// Executor::kBatchRows-row batches the vectorized kernels (filter,
+  /// project, compute, aggregate, join build/probe, hash-exchange key
+  /// hashing) processed, counted per partition from its live rows. The
+  /// kernels run over whole partitions, so this is bookkeeping, not a
+  /// physical chunking.
   int64_t batches_evaluated = 0;
   /// Structurally duplicate scalar subtrees eliminated by the
   /// expression-CSE pass, summed over Compute operator invocations.
   int64_t exprs_deduped = 0;
-  /// Rows that crossed an unsanctioned row<->column conversion inside the
-  /// batch pipeline, counted per direction (both sides of any operator that
-  /// bridged back to the row path). Output's columns->rows sink conversion
-  /// is not counted — it would only restate rows_output now that every
-  /// operator is batch-native. 0 when the pipeline never leaves columns,
-  /// and 0 at batch_size 1 (the row path never converts).
-  int64_t rows_converted = 0;
-  /// Operators where the batch pipeline fell back to the legacy row
-  /// implementation. 0 since the range exchange went batch-native; kept as
-  /// a tripwire for future bridges. 0 at batch_size 1.
-  int64_t batch_pipeline_breaks = 0;
   /// Morsel jobs scheduled by the intra-partition parallel stages (fused
   /// chain evaluation, aggregate/join input scans, exchange key hashing).
   /// A function of the data and morsel_size only — never of the thread
-  /// count. 0 at batch_size 1.
+  /// count.
   int64_t morsels_evaluated = 0;
   /// Morsels beyond the first of their partition, summed over the same
   /// stages: the jobs that partition-granularity scheduling could not have
@@ -110,8 +86,8 @@ struct ExecMetrics {
   int64_t recovery_bytes_moved = 0;
   /// Simulated makespan: per operator pass, the maximum over machines of
   /// (live rows x FaultPlan::StragglerMultiplier), summed over passes. Only
-  /// accounted while a FaultPlan is enabled; a function of the plan, the
-  /// data, and the batch size — never of threads or morsels.
+  /// accounted while a FaultPlan is enabled; a function of the plan and the
+  /// data — never of threads or morsels.
   int64_t sim_makespan_ticks = 0;
 
   /// Output rows per OUTPUT path.
@@ -142,31 +118,27 @@ bool SameOutputs(const ExecMetrics& a, const ExecMetrics& b);
 /// The executor validates the optimizer's property reasoning at runtime:
 /// aggregations and joins assume their inputs are co-located the way the
 /// delivered properties claim, so a property bug surfaces as a result
-/// mismatch against the conventional plan.
+/// mismatch against the reference evaluation.
+///
+/// The plan runs on one batch-native pipeline: operators exchange
+/// BatchData (immutable shared columns + selection vectors) end to end,
+/// Filter/Compute/Project chains fuse into one cross-stage expression
+/// schedule (plan/expr_cse.h), spools cache column batches whose readers
+/// share storage, and exchanges scatter column slices by a precomputed hash
+/// column. Rows exist only at Output (docs/architecture.md §14). Its
+/// correctness oracle is the single-machine reference evaluator over the
+/// bound logical DAG (testing/reference_eval.h), which shares nothing
+/// physical with the plan.
 ///
 /// Per-machine partitions are the unit of parallelism: the plan DAG is
 /// walked by one master thread, and each operator evaluates its partitions
 /// on a WorkerPool of cluster.exec_threads threads (1 = the exact serial
-/// path). Every partition job writes only its own output slot and all
-/// merge/concatenation happens in fixed partition order, so counters and
-/// output rows are bit-identical for every thread count. Inside the batch
-/// pipeline the hot scans additionally split each partition into
-/// cluster.morsel_size-row morsels scheduled as one flat job list, with
-/// per-morsel output slots merged in fixed morsel order — so a skewed
-/// partition no longer serializes its stage, at any morsel size and thread
-/// count bit-identically (docs/architecture.md §15).
-///
-/// When cluster.batch_size > 1 the plan runs on the batch-native pipeline:
-/// operators exchange BatchData (immutable shared columns + selection
-/// vectors) end to end, Filter/Compute/Project chains fuse into one
-/// cross-stage expression schedule (plan/expr_cse.h), spools cache column
-/// batches whose readers share storage, and exchanges scatter column
-/// slices by a precomputed hash column. Rows exist only at Output and at
-/// explicitly bridged operators (ExecMetrics::rows_converted /
-/// batch_pipeline_breaks). batch_size 1 keeps the exact legacy
-/// row-at-a-time loops as the differential anchor; both pipelines are
-/// bit-identical in raw outputs and legacy counters by construction — see
-/// docs/architecture.md §14.
+/// path). The hot scans additionally split each partition into
+/// cluster.morsel_size-row morsels scheduled as one flat job list. Every
+/// job writes only its own (partition, morsel) output slot and all merges
+/// happen in fixed partition/morsel order, so counters and raw output rows
+/// are bit-identical at every thread count and morsel size
+/// (docs/architecture.md §15).
 class Executor {
  public:
   /// Passes over fewer live rows than this run inline on the calling
@@ -175,13 +147,13 @@ class Executor {
   /// where jobs run, never what they compute or count.
   static constexpr int64_t kSerialCutoffRows = 4096;
 
+  /// Rows per batch in the batches_evaluated accounting.
+  static constexpr size_t kBatchRows = 4096;
+
   explicit Executor(ClusterConfig cluster)
       : cluster_(cluster),
         threads_(cluster.exec_threads > 0 ? cluster.exec_threads
                                           : DefaultNumThreads()),
-        batch_size_(cluster.batch_size > 0
-                        ? static_cast<size_t>(cluster.batch_size)
-                        : static_cast<size_t>(DefaultBatchSize())),
         morsel_size_(cluster.morsel_size > 0
                          ? static_cast<size_t>(cluster.morsel_size)
                          : static_cast<size_t>(DefaultMorselSize())) {}
@@ -199,6 +171,7 @@ class Executor {
   }
 
   /// Runs the plan; returns counters and the produced outputs.
+  /// InvalidArgument when the cluster has no machine.
   Result<ExecMetrics> Execute(const PhysicalNodePtr& plan);
 
   /// Passes this executor has handed to its worker pool so far. Not an
@@ -211,27 +184,6 @@ class Executor {
   /// machine failures and recovers each lost partition — from a surviving
   /// spool when possible, by deterministic side-effect-free recomputation
   /// otherwise. One branch when no plan is armed.
-  Result<PartitionedData> Eval(const PhysicalNodePtr& node,
-                               ExecMetrics* metrics);
-  /// The operator switch proper (no fault handling).
-  Result<PartitionedData> EvalInner(const PhysicalNodePtr& node,
-                                    ExecMetrics* metrics);
-
-  Result<PartitionedData> EvalExtract(const PhysicalNode& node,
-                                      ExecMetrics* metrics);
-  Result<PartitionedData> EvalAggregate(const PhysicalNode& node,
-                                        PartitionedData in,
-                                        ExecMetrics* metrics);
-  Result<PartitionedData> EvalJoin(const PhysicalNode& node,
-                                   PartitionedData left,
-                                   PartitionedData right,
-                                   ExecMetrics* metrics);
-  PartitionedData Exchange(const PhysicalNode& node, PartitionedData in,
-                           ExecMetrics* metrics, bool preserve_order);
-
-  // --- Batch-native pipeline (batch_executor.cc), used at batch_size > 1.
-
-  /// Fault-injection wrapper around EvalBatchInner, mirroring Eval.
   Result<BatchData> EvalBatch(const PhysicalNodePtr& node,
                               ExecMetrics* metrics);
   Result<BatchData> EvalBatchInner(const PhysicalNodePtr& node,
@@ -248,22 +200,10 @@ class Executor {
                                   BatchData right, ExecMetrics* metrics);
   BatchData ExchangeBatch(const PhysicalNode& node, BatchData in,
                           ExecMetrics* metrics, bool preserve_order);
-  /// Batch-native range repartitioning: columnar quantile boundaries plus a
-  /// morsel-binned scatter, with no row bridge (batch_pipeline_breaks and
-  /// rows_converted stay 0).
+  /// Range repartitioning: columnar quantile boundaries plus a
+  /// morsel-binned scatter.
   BatchData RangeExchangeBatch(const PhysicalNode& node, BatchData in,
                                ExecMetrics* metrics);
-
-  /// Re-buckets `in` into `machines` partitions. `dest_fill(rows, dest)`
-  /// computes every row's destination for one source partition (so the hash
-  /// exchange can vectorize the key hashing per batch). Two-phase move
-  /// scatter: each source partition fills per-destination buffers with
-  /// exact reserved capacity, then each destination concatenates them
-  /// source-major — the exact row order of the serial push_back loop.
-  /// Defined inline below so both the legacy path (executor.cc) and the
-  /// batch pipeline's row bridge (batch_executor.cc) can instantiate it.
-  template <typename DestFillFn>
-  PartitionedData ScatterByDest(PartitionedData in, DestFillFn dest_fill);
 
   /// Runs fn(0..n-1) — one pass over `rows` live rows in total — on the
   /// pool when exec_threads > 1, n > 1 and rows >= kSerialCutoffRows,
@@ -285,18 +225,14 @@ class Executor {
 
   ClusterConfig cluster_;
   int threads_;
-  /// Rows per column batch; 1 = the exact legacy row-at-a-time loops.
-  size_t batch_size_;
-  /// Live rows per intra-partition morsel (batch pipeline only).
+  /// Live rows per intra-partition morsel.
   size_t morsel_size_;
   std::unique_ptr<WorkerPool> pool_;  ///< created lazily by RunPartitions
   int64_t pool_passes_ = 0;           ///< see pool_passes()
   /// Spool materializations, keyed by plan node identity so a shared spool
-  /// executes once per plan DAG. Pointer keys, no ordering needed.
-  std::unordered_map<const PhysicalNode*, PartitionedData> spool_cache_;
-  /// Batch-pipeline spool materializations: partitions are compacted once
-  /// at write time, and every read hands back the same shared immutable
-  /// columns (a cache hit copies shared_ptrs, never rows).
+  /// executes once per plan DAG: partitions are compacted once at write
+  /// time, and every read hands back the same shared immutable columns (a
+  /// cache hit copies shared_ptrs, never rows).
   std::unordered_map<const PhysicalNode*, BatchData> batch_spool_cache_;
 
   // --- Spool byte budget + cross-query cache (spool_cache.h) ---
@@ -305,13 +241,13 @@ class Executor {
   /// `node`, then evicts run-local entries (lowest recompute-cost x reuse
   /// benefit first, oldest on ties) until the budget holds. Runs only on the
   /// master DAG-walk thread; eviction order depends only on the plan and the
-  /// walk order, so it is bit-identical across thread/batch/morsel settings.
+  /// walk order, so it is bit-identical across thread and morsel settings.
   void TrackSpoolInsert(const PhysicalNode* node, int64_t bytes,
                         ExecMetrics* metrics);
   /// Bumps the run-local reuse counter of `node`'s spool entry.
   void TrackSpoolRead(const PhysicalNode* node);
   /// Cross-query cache key of the sub-DAG materialized by spool `node`.
-  SpoolCacheKey CrossKeyFor(const PhysicalNode& node, bool batch) const;
+  SpoolCacheKey CrossKeyFor(const PhysicalNode& node) const;
 
   /// Per-entry bookkeeping behind the run-local spool byte budget.
   struct RunSpoolMeta {
@@ -341,20 +277,14 @@ class Executor {
   // accounted only in the recovery_* counters.
 
   /// Injects failures for the pass that produced `out` and recovers them.
-  Status InjectFaults(const PhysicalNodePtr& node, int64_t pass,
-                      PartitionedData* out, ExecMetrics* metrics);
   Status InjectFaultsBatch(const PhysicalNodePtr& node, int64_t pass,
                            BatchData* out, ExecMetrics* metrics);
   /// Restores partition m of `out` after an injected failure.
-  Status RecoverPartition(const PhysicalNodePtr& node, size_t m,
-                          PartitionedData* out, ExecMetrics* metrics);
   Status RecoverPartitionBatch(const PhysicalNodePtr& node, size_t m,
                                BatchData* out, ExecMetrics* metrics);
   /// Recovery-mode kSpool evaluation: read-only lookup (run-local cache ->
   /// recovery overlay -> pinned cross-query peek) or recomputation into the
   /// overlay. Never mutates run spool state.
-  Result<PartitionedData> RecoverySpoolRows(const PhysicalNodePtr& node,
-                                            ExecMetrics* scratch);
   Result<BatchData> RecoverySpoolBatch(const PhysicalNodePtr& node,
                                        ExecMetrics* scratch);
 
@@ -366,49 +296,8 @@ class Executor {
   /// Within-recovery memo of recomputed spool sub-DAGs, so a shared spool
   /// whose materialization was evicted is recomputed once per recovery
   /// event, not once per appearance. Cleared after each recovery.
-  std::unordered_map<const PhysicalNode*, PartitionedData> recovery_overlay_;
   std::unordered_map<const PhysicalNode*, BatchData> recovery_batch_overlay_;
 };
-
-template <typename DestFillFn>
-PartitionedData Executor::ScatterByDest(PartitionedData in,
-                                        DestFillFn dest_fill) {
-  size_t machines = static_cast<size_t>(cluster_.machines);
-  size_t nsrc = in.partitions.size();
-  // Phase 1: each source partition moves its rows into per-destination
-  // buffers with exact reserved capacity.
-  std::vector<std::vector<std::vector<Row>>> buckets(nsrc);
-  const int64_t total_rows = in.TotalRows();
-  RunPartitions(nsrc, total_rows, [&](size_t s) {
-    std::vector<Row>& rows = in.partitions[s];
-    std::vector<uint32_t> dest(rows.size());
-    dest_fill(rows, &dest);
-    std::vector<size_t> count(machines, 0);
-    for (size_t i = 0; i < rows.size(); ++i) ++count[dest[i]];
-    std::vector<std::vector<Row>>& b = buckets[s];
-    b.resize(machines);
-    for (size_t d = 0; d < machines; ++d) b[d].reserve(count[d]);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      b[dest[i]].push_back(std::move(rows[i]));
-    }
-  });
-  // Phase 2: each destination concatenates its buffers source-major —
-  // exactly the row order the serial per-row push_back loop produced.
-  PartitionedData out;
-  out.schema = std::move(in.schema);
-  out.partitions.resize(machines);
-  RunPartitions(machines, total_rows, [&](size_t d) {
-    size_t total = 0;
-    for (size_t s = 0; s < nsrc; ++s) total += buckets[s][d].size();
-    std::vector<Row>& sink = out.partitions[d];
-    sink.reserve(total);
-    for (size_t s = 0; s < nsrc; ++s) {
-      sink.insert(sink.end(), std::make_move_iterator(buckets[s][d].begin()),
-                  std::make_move_iterator(buckets[s][d].end()));
-    }
-  });
-  return out;
-}
 
 }  // namespace scx
 

@@ -222,42 +222,17 @@ std::string CanonicalSubDagDescription(const PhysicalNodePtr& node) {
   return CanonicalWriter().Render(node.get());
 }
 
-std::optional<PartitionedData> CrossQuerySpoolCache::LookupRows(
-    const SpoolCacheKey& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end() || key.batch) {
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  ++stats_.hits;
-  ++it->second.reuse;
-  return it->second.rows;
-}
-
 std::optional<BatchData> CrossQuerySpoolCache::LookupBatch(
     const SpoolCacheKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
-  if (it == entries_.end() || !key.batch) {
+  if (it == entries_.end()) {
     ++stats_.misses;
     return std::nullopt;
   }
   ++stats_.hits;
   ++it->second.reuse;
   return it->second.batch;  // copies shared column pointers, not data
-}
-
-void CrossQuerySpoolCache::InsertRows(const SpoolCacheKey& key,
-                                      PartitionedData data,
-                                      double recompute_cost,
-                                      int64_t* evicted_bytes) {
-  Entry entry;
-  entry.bytes = data.TotalBytes();
-  entry.rows = std::move(data);
-  entry.recompute_cost = recompute_cost;
-  std::lock_guard<std::mutex> lock(mu_);
-  InsertLocked(key, std::move(entry), evicted_bytes);
 }
 
 void CrossQuerySpoolCache::InsertBatch(const SpoolCacheKey& key,
@@ -269,10 +244,6 @@ void CrossQuerySpoolCache::InsertBatch(const SpoolCacheKey& key,
   entry.recompute_cost = recompute_cost;
   std::lock_guard<std::mutex> lock(mu_);
   InsertLocked(key, std::move(entry), evicted_bytes);
-}
-
-const PartitionedData& CrossQuerySpoolCache::PinnedEntry::rows() const {
-  return entry_->rows;
 }
 
 const BatchData& CrossQuerySpoolCache::PinnedEntry::batch() const {

@@ -35,21 +35,19 @@ std::string CanonicalSubDagDescription(const PhysicalNodePtr& node);
 
 /// Key of one cross-query spool cache entry. The catalog version ties the
 /// entry to the exact catalog state (file stats, data seeds) it was computed
-/// from; the machine count pins the partition layout; `batch` separates the
-/// row-vector and column-batch materialization formats.
+/// from; the machine count pins the partition layout.
 struct SpoolCacheKey {
   std::string canon;
   uint64_t catalog_version = 0;
   int machines = 0;
-  bool batch = false;
 
   friend bool operator<(const SpoolCacheKey& a, const SpoolCacheKey& b) {
-    return std::tie(a.canon, a.catalog_version, a.machines, a.batch) <
-           std::tie(b.canon, b.catalog_version, b.machines, b.batch);
+    return std::tie(a.canon, a.catalog_version, a.machines) <
+           std::tie(b.canon, b.catalog_version, b.machines);
   }
   friend bool operator==(const SpoolCacheKey& a, const SpoolCacheKey& b) {
     return a.canon == b.canon && a.catalog_version == b.catalog_version &&
-           a.machines == b.machines && a.batch == b.batch;
+           a.machines == b.machines;
   }
 };
 
@@ -67,9 +65,8 @@ struct SpoolCacheStats {
 /// A byte-budgeted cache of materialized spool results that outlives any
 /// single execution, so a sub-DAG computed for one script serves later
 /// scripts (and later batches) without re-execution. Entries hold immutable
-/// data — CompactPartition'd shared columns on the batch path, plain row
-/// vectors on the row path — and a hit hands back shared_ptr copies / row
-/// copies, never aliasing mutable state.
+/// data — CompactPartition'd shared columns — and a hit hands back
+/// shared_ptr copies, never aliasing mutable state.
 ///
 /// Eviction is cost-aware and deterministic: when an insertion pushes the
 /// cache over its byte budget, entries are dropped in increasing order of
@@ -85,9 +82,8 @@ class CrossQuerySpoolCache {
   explicit CrossQuerySpoolCache(int64_t budget_bytes)
       : budget_(ResolveSpoolBudget(budget_bytes)) {}
 
-  /// Returns a copy of the cached rows, or nullopt. A hit bumps the entry's
-  /// observed-reuse count (raising its eviction benefit).
-  std::optional<PartitionedData> LookupRows(const SpoolCacheKey& key);
+  /// Returns the cached batch (shared columns), or nullopt. A hit bumps the
+  /// entry's observed-reuse count (raising its eviction benefit).
   std::optional<BatchData> LookupBatch(const SpoolCacheKey& key);
 
   /// Zero-copy read handle on one cache entry, used by fault recovery
@@ -121,9 +117,7 @@ class CrossQuerySpoolCache {
 
     /// False on a cache miss (nothing pinned).
     explicit operator bool() const { return entry_ != nullptr; }
-    /// The pinned row materialization (row-format entries only).
-    const PartitionedData& rows() const;
-    /// The pinned batch materialization (batch-format entries only).
+    /// The pinned batch materialization.
     const BatchData& batch() const;
 
     /// Unpins early (idempotent; also run by the destructor).
@@ -138,14 +132,12 @@ class CrossQuerySpoolCache {
   };
 
   /// Pins the entry under `key` for zero-copy reading, or returns an empty
-  /// handle on miss (wrong-format entries miss too). No reuse bump, no
+  /// handle on miss. No reuse bump, no
   /// hit/miss accounting — see PinnedEntry.
   PinnedEntry Pin(const SpoolCacheKey& key);
 
   /// Inserts (replacing any same-key entry), then enforces the byte budget.
   /// Bytes dropped by eviction are added to *evicted_bytes when non-null.
-  void InsertRows(const SpoolCacheKey& key, PartitionedData data,
-                  double recompute_cost, int64_t* evicted_bytes = nullptr);
   void InsertBatch(const SpoolCacheKey& key, BatchData data,
                    double recompute_cost, int64_t* evicted_bytes = nullptr);
 
@@ -154,7 +146,6 @@ class CrossQuerySpoolCache {
 
  private:
   struct Entry {
-    PartitionedData rows;
     BatchData batch;
     int64_t bytes = 0;
     double recompute_cost = 0;

@@ -309,7 +309,7 @@ void SelectByPredicate(const ColumnVector& lhs, const ColumnVector* rhs,
   }
   // Double column vs double column or numeric literal: Cmp3's three-way
   // outcome computed per lane (NaN lands on the cmp==0 case, exactly as
-  // the row path's Cmp3 does).
+  // BoundPredicate::Evaluate's comparison does).
   if (lr == ColumnRep::kDouble &&
       (rcol == nullptr ? NumericRep(rr) : rr == ColumnRep::kDouble)) {
     const double* a = l.doubles().data();
@@ -410,7 +410,7 @@ void EvalBinaryColumns(ScalarExpr::BinOp op, const ColumnVector& l,
                        const ColumnVector& r, size_t n, ColumnVector* out) {
   const ColumnRep lr = l.rep(), rr = r.rep();
   // Mixed-runtime-type columns fall back to cell-at-a-time Values — the
-  // dynamic dispatch of the row path, reproduced verbatim.
+  // dynamic dispatch of ScalarExpr::Evaluate, reproduced verbatim.
   if (lr == ColumnRep::kValue || rr == ColumnRep::kValue ||
       !NumericRep(lr) || !NumericRep(rr)) {
     ColumnVector generic;

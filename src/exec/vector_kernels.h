@@ -11,7 +11,7 @@
 namespace scx {
 
 /// The seed of the per-row HashRowKey chain; exposed so batch kernels can
-/// start a hash accumulator identically to the row path.
+/// start a hash accumulator identically to HashRowKey.
 inline constexpr uint64_t kRowKeySeed = 0x2545f4914f6cdd1dULL;
 
 /// Combines column `col`'s cells [begin, end) into the per-row hash

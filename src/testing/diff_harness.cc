@@ -12,19 +12,18 @@
 #include "opt/plan_validator.h"
 #include "testing/catalog_text.h"
 #include "testing/json_lite.h"
+#include "testing/reference_eval.h"
 
 namespace scx {
 
 namespace {
 
 Result<ExecMetrics> RunPlan(const PhysicalNodePtr& plan, int machines,
-                            int exec_threads, int batch_size = 0,
-                            int morsel_size = 0,
+                            int exec_threads, int morsel_size = 0,
                             const FaultPlan* fault = nullptr) {
   ClusterConfig cluster;
   cluster.machines = machines;
   cluster.exec_threads = exec_threads;
-  cluster.batch_size = batch_size;
   cluster.morsel_size = morsel_size;
   if (fault != nullptr) cluster.fault_plan = *fault;
   Executor executor(cluster);
@@ -32,21 +31,15 @@ Result<ExecMetrics> RunPlan(const PhysicalNodePtr& plan, int machines,
 }
 
 /// Full bitwise comparison of two executions (counters AND raw rows — the
-/// determinism contract of docs/architecture.md §12/§15). The batch-path
-/// counters are compared only when both runs used the same batch size
-/// (`same_batch_size`): they count batch-path work, so a batch_size=1 run
-/// legitimately reports 0 for both while producing identical rows. The
-/// morsel counters additionally need the same morsel size
-/// (`same_morsel_size`); every other counter is invariant to both knobs.
-/// The fault counters are compared only when both runs used the same
-/// FaultPlan AND the same pipeline kind (`same_fault_plan`): pass ids are
-/// pipeline-structural (the batch path fuses operator chains into one
-/// failure domain), so a faulted row-path run legitimately injects a
-/// different failure set than the batch path while still recovering to
-/// identical outputs and legacy counters.
+/// determinism contract of docs/architecture.md §12/§15). The morsel
+/// counters are compared only when both runs used the same morsel size
+/// (`same_morsel_size`); every other counter is invariant to the morsel
+/// and thread knobs. The fault counters are compared only when both runs
+/// used the same FaultPlan (`same_fault_plan`): a clean run injects and
+/// recovers nothing.
 bool MetricsEqual(const ExecMetrics& a, const ExecMetrics& b,
-                  bool same_batch_size, bool same_morsel_size,
-                  bool same_fault_plan, std::string* why) {
+                  bool same_morsel_size, bool same_fault_plan,
+                  std::string* why) {
 #define SCX_CMP(field)                                                  \
   if (a.field != b.field) {                                             \
     *why = #field ": " + std::to_string(a.field) + " vs " +             \
@@ -65,14 +58,10 @@ bool MetricsEqual(const ExecMetrics& a, const ExecMetrics& b,
   SCX_CMP(spool_bytes_evicted)
   SCX_CMP(operator_invocations)
   SCX_CMP(rows_output)
-  if (same_batch_size) {
-    SCX_CMP(cross_query_spool_hits)
-    SCX_CMP(batches_evaluated)
-    SCX_CMP(exprs_deduped)
-    SCX_CMP(rows_converted)
-    SCX_CMP(batch_pipeline_breaks)
-  }
-  if (same_batch_size && same_morsel_size) {
+  SCX_CMP(cross_query_spool_hits)
+  SCX_CMP(batches_evaluated)
+  SCX_CMP(exprs_deduped)
+  if (same_morsel_size) {
     SCX_CMP(morsels_evaluated)
     SCX_CMP(morsel_steal_count)
   }
@@ -92,18 +81,18 @@ bool MetricsEqual(const ExecMetrics& a, const ExecMetrics& b,
   return true;
 }
 
-/// Short human description of how two canonicalized output sets differ.
-std::string DescribeOutputDiff(const ExecMetrics& conv,
-                               const ExecMetrics& cse) {
-  auto a = CanonicalOutputs(conv);
-  auto b = CanonicalOutputs(cse);
+/// Short human description of how two canonicalized output sets differ
+/// (`expected` from the reference evaluator, `got` from a plan).
+std::string DescribeOutputDiff(const ExecMetrics& expected,
+                               const ExecMetrics& got) {
+  auto a = CanonicalOutputs(expected);
+  auto b = CanonicalOutputs(got);
   for (const auto& [path, rows] : a) {
     auto it = b.find(path);
-    if (it == b.end()) return "path " + path + " missing from cse outputs";
+    if (it == b.end()) return "path " + path + " missing from plan outputs";
     if (rows.size() != it->second.size()) {
-      return "path " + path + ": conventional " +
-             std::to_string(rows.size()) + " rows, cse " +
-             std::to_string(it->second.size());
+      return "path " + path + ": reference " + std::to_string(rows.size()) +
+             " rows, plan " + std::to_string(it->second.size());
     }
     for (size_t i = 0; i < rows.size(); ++i) {
       if (rows[i] != it->second[i]) {
@@ -114,7 +103,7 @@ std::string DescribeOutputDiff(const ExecMetrics& conv,
   }
   for (const auto& [path, rows] : b) {
     if (a.find(path) == a.end()) {
-      return "path " + path + " missing from conventional outputs";
+      return "path " + path + " missing from reference outputs";
     }
   }
   return "outputs differ";
@@ -389,7 +378,17 @@ std::optional<DiffHarness::Failure> DiffHarness::RunOracles(
                                std::to_string(conv->cost())};
   }
 
-  // Oracle 1: both modes execute to identical canonical outputs.
+  // Oracle 1, "reference": both plans execute to exactly the canonical
+  // outputs of the single-machine reference evaluation of the bound logical
+  // DAG (which shares no partitions, exchanges, spools or physical
+  // properties with either plan), and every ORDER BY output arrives in
+  // order. Implies conventional == cse.
+  auto reference = EvaluateReference(compiled->bound.root);
+  if (!reference.ok()) {
+    return Failure{"execute", "reference: " + reference.status().ToString()};
+  }
+  ExecMetrics ref_run;
+  ref_run.outputs = std::move(*reference);
   auto conv_run = RunPlan(conv->plan(), opts_.machines, /*exec_threads=*/1);
   if (!conv_run.ok()) {
     return Failure{"execute",
@@ -399,8 +398,17 @@ std::optional<DiffHarness::Failure> DiffHarness::RunOracles(
   if (!cse_run.ok()) {
     return Failure{"execute", "cse: " + cse_run.status().ToString()};
   }
-  if (!SameOutputs(*conv_run, *cse_run)) {
-    return Failure{"outputs", DescribeOutputDiff(*conv_run, *cse_run)};
+  for (const auto& [mode, run] :
+       {std::pair{"conventional", &*conv_run}, std::pair{"cse", &*cse_run}}) {
+    if (!SameOutputs(ref_run, *run)) {
+      return Failure{"reference", std::string(mode) + " plan vs reference: " +
+                                      DescribeOutputDiff(ref_run, *run)};
+    }
+    Status order = CheckOutputOrder(compiled->bound.root, run->outputs);
+    if (!order.ok()) {
+      return Failure{"reference",
+                     std::string(mode) + " plan: " + order.ToString()};
+    }
   }
 
   // Oracle 3b: parallel execution is bit-identical to serial.
@@ -411,9 +419,8 @@ std::optional<DiffHarness::Failure> DiffHarness::RunOracles(
                      "cse parallel: " + cse_par_run.status().ToString()};
     }
     std::string why;
-    if (!MetricsEqual(*cse_run, *cse_par_run, /*same_batch_size=*/true,
-                      /*same_morsel_size=*/true, /*same_fault_plan=*/true,
-                      &why)) {
+    if (!MetricsEqual(*cse_run, *cse_par_run, /*same_morsel_size=*/true,
+                      /*same_fault_plan=*/true, &why)) {
       return Failure{"exec-determinism",
                      std::to_string(opts_.threads) +
                          "-thread execution diverged from serial: " + why};
@@ -426,56 +433,34 @@ std::optional<DiffHarness::Failure> DiffHarness::RunOracles(
   // one and at opts_.threads threads.
   for (int morsel_size : {1, 61, 1 << 30}) {
     auto morsel_run = RunPlan(cse->plan(), opts_.machines,
-                              /*exec_threads=*/1, /*batch_size=*/0,
-                              morsel_size);
+                              /*exec_threads=*/1, morsel_size);
     if (!morsel_run.ok()) {
       return Failure{"execute", "cse morsel_size=" +
                                     std::to_string(morsel_size) + ": " +
                                     morsel_run.status().ToString()};
     }
     std::string why;
-    if (!MetricsEqual(*cse_run, *morsel_run, /*same_batch_size=*/true,
-                      /*same_morsel_size=*/false, /*same_fault_plan=*/true,
-                      &why)) {
+    if (!MetricsEqual(*cse_run, *morsel_run, /*same_morsel_size=*/false,
+                      /*same_fault_plan=*/true, &why)) {
       return Failure{"morsel-identity",
                      "morsel_size=" + std::to_string(morsel_size) +
                          " diverged from the default morsel size: " + why};
     }
     if (opts_.threads > 1) {
       auto morsel_par = RunPlan(cse->plan(), opts_.machines, opts_.threads,
-                                /*batch_size=*/0, morsel_size);
+                                morsel_size);
       if (!morsel_par.ok()) {
         return Failure{"execute", "cse parallel morsel_size=" +
                                       std::to_string(morsel_size) + ": " +
                                       morsel_par.status().ToString()};
       }
-      if (!MetricsEqual(*morsel_run, *morsel_par, /*same_batch_size=*/true,
-                        /*same_morsel_size=*/true, /*same_fault_plan=*/true,
-                        &why)) {
+      if (!MetricsEqual(*morsel_run, *morsel_par, /*same_morsel_size=*/true,
+                        /*same_fault_plan=*/true, &why)) {
         return Failure{"exec-determinism",
                        "morsel_size=" + std::to_string(morsel_size) + ", " +
                            std::to_string(opts_.threads) +
                            "-thread execution diverged from serial: " + why};
       }
-    }
-  }
-
-  // Oracle 5: the columnar batch path (the default used by every run
-  // above) is bit-identical to the batch_size=1 row-at-a-time path.
-  {
-    auto row_run = RunPlan(cse->plan(), opts_.machines, /*exec_threads=*/1,
-                           /*batch_size=*/1);
-    if (!row_run.ok()) {
-      return Failure{"execute",
-                     "cse batch_size=1: " + row_run.status().ToString()};
-    }
-    std::string why;
-    if (!MetricsEqual(*cse_run, *row_run, /*same_batch_size=*/false,
-                      /*same_morsel_size=*/false, /*same_fault_plan=*/true,
-                      &why)) {
-      return Failure{"batch-identity",
-                     "batched execution diverged from the batch_size=1 row "
-                     "path: " + why};
     }
   }
 
@@ -489,15 +474,14 @@ std::optional<DiffHarness::Failure> DiffHarness::RunOracles(
     // rows and every legacy counter (recovery is side-effect-free; the new
     // fault counters are strictly additive).
     auto fault_run = RunPlan(cse->plan(), opts_.machines, /*exec_threads=*/1,
-                             /*batch_size=*/0, /*morsel_size=*/0, &fp);
+                             /*morsel_size=*/0, &fp);
     if (!fault_run.ok()) {
       return Failure{"execute",
                      "cse faulted: " + fault_run.status().ToString()};
     }
     std::string why;
-    if (!MetricsEqual(*cse_run, *fault_run, /*same_batch_size=*/true,
-                      /*same_morsel_size=*/true, /*same_fault_plan=*/false,
-                      &why)) {
+    if (!MetricsEqual(*cse_run, *fault_run, /*same_morsel_size=*/true,
+                      /*same_fault_plan=*/false, &why)) {
       return Failure{"fault-identity",
                      "faulted run diverged from the clean run: " + why};
     }
@@ -514,18 +498,17 @@ std::optional<DiffHarness::Failure> DiffHarness::RunOracles(
 
     // Oracle 8b, "fault-determinism": the faulted run itself — fault
     // counters included — is bit-identical across the thread knob, and at
-    // adversarial batch/morsel knobs it still reproduces the clean
+    // an adversarial morsel size it still reproduces the clean
     // baseline's legacy counters and raw outputs.
     if (opts_.threads > 1) {
       auto fault_par = RunPlan(cse->plan(), opts_.machines, opts_.threads,
-                               /*batch_size=*/0, /*morsel_size=*/0, &fp);
+                               /*morsel_size=*/0, &fp);
       if (!fault_par.ok()) {
         return Failure{"execute", "cse faulted parallel: " +
                                       fault_par.status().ToString()};
       }
-      if (!MetricsEqual(*fault_run, *fault_par, /*same_batch_size=*/true,
-                        /*same_morsel_size=*/true, /*same_fault_plan=*/true,
-                        &why)) {
+      if (!MetricsEqual(*fault_run, *fault_par, /*same_morsel_size=*/true,
+                        /*same_fault_plan=*/true, &why)) {
         return Failure{"fault-determinism",
                        std::to_string(opts_.threads) +
                            "-thread faulted execution diverged from the "
@@ -534,16 +517,15 @@ std::optional<DiffHarness::Failure> DiffHarness::RunOracles(
     }
     {
       auto fault_knob = RunPlan(cse->plan(), opts_.machines, opts_.threads,
-                                /*batch_size=*/61, /*morsel_size=*/53, &fp);
+                                /*morsel_size=*/53, &fp);
       if (!fault_knob.ok()) {
         return Failure{"execute", "cse faulted knob run: " +
                                       fault_knob.status().ToString()};
       }
-      if (!MetricsEqual(*cse_run, *fault_knob, /*same_batch_size=*/false,
-                        /*same_morsel_size=*/false, /*same_fault_plan=*/false,
-                        &why)) {
+      if (!MetricsEqual(*cse_run, *fault_knob, /*same_morsel_size=*/false,
+                        /*same_fault_plan=*/false, &why)) {
         return Failure{"fault-identity",
-                       "faulted run at batch_size=61 morsel_size=53 "
+                       "faulted run at morsel_size=53 "
                        "diverged from the clean baseline: " + why};
       }
     }
@@ -557,15 +539,13 @@ std::optional<DiffHarness::Failure> DiffHarness::RunOracles(
       FaultPlan pure = fp;
       pure.disable_recovery_spool_reads = true;
       auto pure_run = RunPlan(cse->plan(), opts_.machines,
-                              /*exec_threads=*/1, /*batch_size=*/0,
-                              /*morsel_size=*/0, &pure);
+                              /*exec_threads=*/1, /*morsel_size=*/0, &pure);
       if (!pure_run.ok()) {
         return Failure{"execute", "cse faulted pure-recompute: " +
                                       pure_run.status().ToString()};
       }
-      if (!MetricsEqual(*cse_run, *pure_run, /*same_batch_size=*/true,
-                        /*same_morsel_size=*/true, /*same_fault_plan=*/false,
-                        &why)) {
+      if (!MetricsEqual(*cse_run, *pure_run, /*same_morsel_size=*/true,
+                        /*same_fault_plan=*/false, &why)) {
         return Failure{"recovery-cost",
                        "pure-recompute recovery diverged from the clean "
                        "run: " + why};
@@ -772,11 +752,10 @@ OracleReport DiffHarness::CheckBatch(const Catalog& catalog,
   }
 
   // Determinism probe: the merged run is bit-identical (outputs and every
-  // knob-invariant counter) under thread count and batch/morsel changes.
+  // knob-invariant counter) under thread count and morsel changes.
   {
     OptimizerConfig kcfg = cfg;
     kcfg.cluster.exec_threads = opts_.threads;
-    kcfg.cluster.batch_size = 61;
     kcfg.cluster.morsel_size = 53;
     Engine knob_engine(catalog, kcfg);
     auto knob = knob_engine.SubmitBatch(scripts, OptimizerMode::kCse);
@@ -786,12 +765,12 @@ OracleReport DiffHarness::CheckBatch(const Catalog& catalog,
     }
     std::string why;
     if (!MetricsEqual(batch->metrics, knob->metrics,
-                      /*same_batch_size=*/false, /*same_morsel_size=*/false,
+                      /*same_morsel_size=*/false,
                       /*same_fault_plan=*/false, &why)) {
       return fail("batch-determinism",
                   "merged run diverged at threads=" +
                       std::to_string(opts_.threads) +
-                      " batch_size=61 morsel_size=53: " + why);
+                      " morsel_size=53: " + why);
     }
     if (knob->script_outputs != batch->script_outputs) {
       return fail("batch-determinism",
@@ -838,7 +817,7 @@ OracleReport DiffHarness::CheckBatch(const Catalog& catalog,
     }
     std::string why;
     if (!MetricsEqual(batch->metrics, faulted->metrics,
-                      /*same_batch_size=*/true, /*same_morsel_size=*/true,
+                      /*same_morsel_size=*/true,
                       /*same_fault_plan=*/false, &why)) {
       return fail("fault-identity",
                   "merged faulted run diverged from the clean merged run: " +

@@ -26,7 +26,7 @@ struct HarnessOptions {
   std::string corpus_dir;
   /// When Enabled(), the fault-oracle family (8 and 9) also runs: faulted
   /// executions of the CSE plan must be bit-identical to the clean runs in
-  /// outputs and every legacy counter, at any thread/batch/morsel knobs
+  /// outputs and every legacy counter, at any thread/morsel knobs
   /// ("fault-identity" / "fault-determinism"), and recovery served by
   /// surviving spools must never move more bytes than pure recomputation
   /// ("recovery-cost"). Oracles 1-7 always run clean.
@@ -37,13 +37,12 @@ struct HarnessOptions {
 /// the failure tags below; empty when everything passed.
 ///
 /// The paper-level invariants map onto the tags as:
-///   (1) equivalence    -> "outputs"
+///   (1) equivalence    -> "reference" (both plans compute exactly what
+///       the single-machine reference evaluator computes over the bound
+///       logical DAG; see testing/reference_eval.h)
 ///   (2) cost claim     -> "cost"
-///   (3) determinism    -> "exec-determinism"
+///   (3) determinism    -> "exec-determinism" / "morsel-identity"
 ///   (4) plan hygiene   -> "validate" / "roundtrip"
-///   (5) batch identity -> "batch-identity" (the vectorized executor must
-///       be bit-identical — raw rows and legacy counters — to the
-///       batch_size=1 row-at-a-time path)
 /// plus pipeline failures "compile" / "optimize" / "execute" (a generated
 /// script must never fail to compile, optimize, or run).
 struct OracleReport {
@@ -58,19 +57,17 @@ struct OracleReport {
 
 /// Differential-testing oracle harness (the scxcheck core). For one
 /// (catalog, script) case it checks:
-///   1. kConventional and kCse plans execute to identical canonical outputs;
+///   1. kConventional and kCse plans both execute to exactly the canonical
+///      outputs of EvaluateReference over the bound script (the same
+///      comparison SameOutputs makes), and every ORDER BY output arrives
+///      non-decreasing on its order keys (CheckOutputOrder);
 ///   2. estimated cost of the CSE plan <= conventional (paper Fig. 6/7);
 ///   3. serial and multi-threaded execution of the CSE plan are
-///      bit-identical (same ExecMetrics counters and raw output rows);
+///      bit-identical (same ExecMetrics counters and raw output rows), and
+///      so are runs at degenerate, prime and whole-partition morsel sizes
+///      (every counter but the two morsel counters);
 ///   4. both plans pass ValidatePlan and their JSON serialization survives a
-///      parse -> serialize round-trip byte for byte;
-///   5. columnar-batch execution (the default) is bit-identical to the
-///      batch_size=1 legacy row path: same raw output rows and same legacy
-///      counters (batch-only counters — batches_evaluated, exprs_deduped,
-///      rows_converted, batch_pipeline_breaks — are excluded from this
-///      oracle: they count batch-pipeline work and are 0 by definition on
-///      the row path; the determinism oracle still compares them between
-///      same-batch-size runs).
+///      parse -> serialize round-trip byte for byte.
 /// On failure it greedily minimizes the script (drop outputs -> drop
 /// operators -> shrink WHERE/ORDER BY/GROUP BY clauses), re-checking the
 /// failing oracle at every step, and optionally writes the shrunken repro
@@ -87,8 +84,8 @@ class DiffHarness {
   /// Engine::SubmitBatch as one merged run must (a) produce per-script raw
   /// outputs bit-identical to executing each script alone in kCse mode, (b)
   /// move no more bytes (shuffled + spooled) than the sequential runs
-  /// combined, (c) stay bit-identical under thread-count and batch/morsel
-  /// knob changes, and (d) reproduce identical outputs on resubmission
+  /// combined, (c) stay bit-identical under thread-count and morsel-size
+  /// changes, and (d) reproduce identical outputs on resubmission
   /// through the warmed cross-query spool cache. Failures are reproducible
   /// from the seed alone (no multi-script minimizer / corpus writer).
   OracleReport CheckBatch(const Catalog& catalog,

@@ -2,9 +2,9 @@
 // row <-> batch converters must be lossless and bit-identical, selection
 // vectors must gather exactly the selected cells, rep adoption/demotion
 // must keep mixed-type columns exact, and the null mask must stay scoped
-// to kernel-level intermediates. The batch path's representative-row key
-// table and its typed sort comparator must agree exactly with the row
-// path's materialized-key table and the CompareCells ordering.
+// to kernel-level intermediates. The executor's representative-row key
+// table must group exactly like a linear scan with Value equality, and its
+// typed sort comparator must agree exactly with the CompareCells ordering.
 
 #include "exec/column_batch.h"
 
@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <random>
@@ -20,7 +19,7 @@
 #include <vector>
 
 #include "common/value.h"
-#include "exec/row_key_table.h"
+#include "exec/key_table.h"
 #include "exec/vector_kernels.h"
 
 namespace scx {
@@ -264,11 +263,30 @@ TEST(ColumnBatchTest, PartitionRowConvertersRoundTrip) {
   EXPECT_EQ(live[1], rows[0]);
 }
 
+/// Reference grouping by linear scan: the dense id of `key` among `keys`
+/// (first-insertion order) under Value equality, or keys->size() after
+/// appending it. Shares no code with ColumnKeyTable or KeyIdIndex.
+size_t LinearKeyId(std::vector<Row>* keys, const Row& key, bool insert) {
+  for (size_t id = 0; id < keys->size(); ++id) {
+    const Row& k = (*keys)[id];
+    bool same = true;
+    for (size_t j = 0; j < key.size(); ++j) {
+      if (!(k[j] == key[j])) {
+        same = false;
+        break;
+      }
+    }
+    if (same) return id;
+  }
+  if (insert) keys->push_back(key);
+  return insert ? keys->size() - 1 : ColumnKeyTable::kNotFound;
+}
+
 // Groups the first `n` rows of `cols` twice: with ColumnKeyTable over the
-// columns (the batch path) and with RowKeyTable over the same rows
-// materialized (the row path). Hashes, dense ids, insert flags and the key
-// values gathered at the representatives must all agree. Returns the
-// batch path's dense id per row.
+// columns and with a linear scan over the same rows materialized. Hashes,
+// dense ids, insert flags and the key values gathered at the
+// representatives must all agree. Returns ColumnKeyTable's dense id per
+// row.
 std::vector<size_t> ExpectSameGrouping(const std::vector<ColumnVector>& cols,
                                        size_t n, size_t expected_keys) {
   std::vector<const ColumnVector*> keys;
@@ -279,16 +297,17 @@ std::vector<size_t> ExpectSameGrouping(const std::vector<ColumnVector>& cols,
   for (const ColumnVector* c : keys) HashColumnCells(*c, n, hashes.data());
 
   ColumnKeyTable table(keys, expected_keys);
-  RowKeyTable ref(expected_keys);
+  std::vector<Row> ref;
   std::vector<size_t> ids;
   for (size_t r = 0; r < n; ++r) {
     Row row;
     for (const ColumnVector* c : keys) row.push_back(c->ValueAt(r));
     EXPECT_EQ(hashes[r], HashRowKey(row, positions)) << "row " << r;
+    const size_t ref_size = ref.size();
     auto [id, inserted] = table.FindOrInsert(r, hashes[r]);
-    auto [ref_id, ref_inserted] = ref.FindOrInsert(row, positions);
+    const size_t ref_id = LinearKeyId(&ref, row, /*insert=*/true);
     EXPECT_EQ(id, ref_id) << "row " << r;
-    EXPECT_EQ(inserted, ref_inserted) << "row " << r;
+    EXPECT_EQ(inserted, ref.size() > ref_size) << "row " << r;
     ids.push_back(id);
   }
   EXPECT_EQ(table.size(), ref.size());
@@ -299,7 +318,7 @@ std::vector<size_t> ExpectSameGrouping(const std::vector<ColumnVector>& cols,
     if (gathered.size() != table.size()) continue;
     for (size_t id = 0; id < table.size(); ++id) {
       const Value got = gathered.ValueAt(id);
-      const Value want = ref.KeyAt(id)[j];
+      const Value want = ref[id][j];
       // Bitwise, so NaN keys compare too.
       EXPECT_EQ(got.ToString(), want.ToString()) << "key " << id;
       EXPECT_EQ(got.type(), want.type()) << "key " << id;
@@ -371,7 +390,7 @@ TEST(ColumnKeyTableTest, GrandTotalOverZeroAndManyRows) {
 TEST(ColumnKeyTableTest, GrowsPastInitialCapacity) {
   // 1000 distinct composite keys (each seen twice) into a table sized for
   // none: the index rehashes several times mid-scan and the ids must still
-  // be the row path's.
+  // be the linear scan's.
   ColumnVector a, b;
   for (int pass = 0; pass < 2; ++pass) {
     for (int64_t k = 0; k < 1000; ++k) {
@@ -388,16 +407,16 @@ TEST(ColumnKeyTableTest, GrowsPastInitialCapacity) {
 
 TEST(ColumnKeyTableTest, FindProbesAnotherColumnWithValueEquality) {
   // Build on an int column, probe with a mixed column: Int(2) matches,
-  // Real(2.0) does not (Value equality), exactly like RowKeyTable::Find.
+  // Real(2.0) does not (Value equality).
   ColumnVector build;
   for (int64_t v : {2, 4, 2}) build.AppendValue(Value::Int(v));
   std::vector<uint64_t> bh(3, kRowKeySeed);
   HashColumnCells(build, 3, bh.data());
   ColumnKeyTable table({&build}, 3);
-  RowKeyTable ref(3);
+  std::vector<Row> ref;
   for (size_t r = 0; r < 3; ++r) {
     table.FindOrInsert(r, bh[r]);
-    ref.FindOrInsert(Row{build.ValueAt(r)}, {0});
+    LinearKeyId(&ref, Row{build.ValueAt(r)}, /*insert=*/true);
   }
   ColumnVector probe;
   for (const Value& v : {Value::Int(4), Value::Real(2.0), Value::Int(2),
@@ -409,12 +428,80 @@ TEST(ColumnKeyTableTest, FindProbesAnotherColumnWithValueEquality) {
   std::vector<size_t> found;
   for (size_t i = 0; i < probe.size(); ++i) {
     size_t id = table.Find({&probe}, i, ph[i]);
-    EXPECT_EQ(id, ref.Find(Row{probe.ValueAt(i)}, {0})) << "probe " << i;
+    EXPECT_EQ(id, LinearKeyId(&ref, Row{probe.ValueAt(i)}, /*insert=*/false))
+        << "probe " << i;
     found.push_back(id);
   }
   EXPECT_EQ(found, (std::vector<size_t>{1, ColumnKeyTable::kNotFound, 0,
                                         ColumnKeyTable::kNotFound,
                                         ColumnKeyTable::kNotFound}));
+  EXPECT_EQ(table.size(), 2u) << "Find must not insert";
+}
+
+/// One int64 key column holding `values`, and its HashRowKey-chain hashes.
+struct IntKeys {
+  ColumnVector col{ColumnRep::kInt64};
+  std::vector<uint64_t> hashes;
+
+  explicit IntKeys(const std::vector<int64_t>& values) {
+    for (int64_t v : values) col.AppendValue(Value::Int(v));
+    hashes.assign(values.size(), kRowKeySeed);
+    HashColumnCells(col, values.size(), hashes.data());
+  }
+};
+
+TEST(ColumnKeyTableTest, CollidingHashesStayDistinct) {
+  // Force distinct keys onto the same hash: open addressing must probe past
+  // the collision and keep both keys findable with separate ids — in the
+  // table and in the shared KeyIdIndex core under it.
+  const uint64_t hash = 0xdeadbeefULL;
+  IntKeys k({1, 2, 1, 2});
+  ColumnKeyTable table({&k.col}, 0);
+  std::vector<size_t> ids;
+  std::vector<bool> inserted;
+  for (size_t r = 0; r < 4; ++r) {
+    auto [id, ins] = table.FindOrInsert(r, hash);
+    ids.push_back(id);
+    inserted.push_back(ins);
+  }
+  EXPECT_EQ(inserted, (std::vector<bool>{true, true, false, false}));
+  EXPECT_EQ(ids, (std::vector<size_t>{0, 1, 0, 1}));
+  EXPECT_EQ(table.Find({&k.col}, 1, hash), 1u);
+
+  KeyIdIndex index;
+  const int64_t keys[] = {1, 2, 1, 2};
+  std::vector<int64_t> stored;
+  for (int64_t key : keys) {
+    auto [id, ins] = index.FindOrInsert(
+        hash, [&](size_t id) { return stored[id] == key; });
+    if (ins) stored.push_back(key);
+    EXPECT_EQ(stored[id], key);
+  }
+  EXPECT_EQ(index.size(), 2u);
+}
+
+TEST(ColumnKeyTableTest, SurvivesRehash) {
+  // Default capacity is tiny; hundreds of keys force several growth steps.
+  // Pre-sized for all of them, the table never grows; ids are the same.
+  const int kKeys = 500;
+  std::vector<int64_t> values;
+  for (int i = 0; i < kKeys; ++i) values.push_back(i);
+  IntKeys k(values);
+  IntKeys absent({kKeys});
+  for (size_t expected_keys : {size_t{0}, values.size()}) {
+    ColumnKeyTable table({&k.col}, expected_keys);
+    for (size_t r = 0; r < values.size(); ++r) {
+      auto [id, inserted] = table.FindOrInsert(r, k.hashes[r]);
+      EXPECT_TRUE(inserted);
+      EXPECT_EQ(id, r);  // ids stay dense across growth
+    }
+    EXPECT_EQ(table.size(), values.size());
+    for (size_t r = 0; r < values.size(); ++r) {
+      EXPECT_EQ(table.Find({&k.col}, r, k.hashes[r]), r);
+    }
+    EXPECT_EQ(table.Find({&absent.col}, 0, absent.hashes[0]),
+              ColumnKeyTable::kNotFound);
+  }
 }
 
 // The sort key column kinds the typed comparator specializes on.
@@ -543,20 +630,6 @@ TEST(NumBatchesTest, CeilDivisionAndEdgeCases) {
   EXPECT_EQ(NumBatches(4097, 4096), 2);
   EXPECT_EQ(NumBatches(10, 1), 10);
   EXPECT_EQ(NumBatches(10, 0), 0);  // guarded: batch paths never use 0
-}
-
-TEST(DefaultBatchSizeTest, EnvOverridesAndFallsBack) {
-  // The test mutates the process environment, so it restores it at the end;
-  // gtest runs tests in one process, so keep this self-contained.
-  const char* old = std::getenv("SCX_BATCH_SIZE");
-  std::string saved = old != nullptr ? old : "";
-  ::setenv("SCX_BATCH_SIZE", "128", 1);
-  EXPECT_EQ(DefaultBatchSize(), 128);
-  ::setenv("SCX_BATCH_SIZE", "0", 1);  // non-positive: fall back
-  EXPECT_EQ(DefaultBatchSize(), 4096);
-  ::unsetenv("SCX_BATCH_SIZE");
-  EXPECT_EQ(DefaultBatchSize(), 4096);
-  if (old != nullptr) ::setenv("SCX_BATCH_SIZE", saved.c_str(), 1);
 }
 
 }  // namespace

@@ -203,23 +203,20 @@ TEST(CrossQueryCacheTest, BatchedOutputsInvariantAcrossExecutionKnobs) {
   }
 
   for (int threads : {1, 4}) {
-    for (int batch_size : {1, 64}) {
-      for (int morsel : {0, 7}) {
-        OptimizerConfig config = SmallCluster();
-        config.cluster.exec_threads = threads;
-        config.cluster.batch_size = batch_size;
-        config.cluster.morsel_size = morsel;
-        Engine engine(batch.catalog, config);
-        auto merged = engine.SubmitBatch(batch.scripts);
-        ASSERT_TRUE(merged.ok())
-            << "threads=" << threads << " batch=" << batch_size
-            << " morsel=" << morsel << ": " << merged.status().ToString();
-        ASSERT_EQ(merged->script_outputs.size(), expected.size());
-        for (size_t i = 0; i < expected.size(); ++i) {
-          EXPECT_EQ(Canonical(merged->script_outputs[i]), expected[i])
-              << "script " << i << " diverged at threads=" << threads
-              << " batch=" << batch_size << " morsel=" << morsel;
-        }
+    for (int morsel : {0, 7, 61}) {
+      OptimizerConfig config = SmallCluster();
+      config.cluster.exec_threads = threads;
+      config.cluster.morsel_size = morsel;
+      Engine engine(batch.catalog, config);
+      auto merged = engine.SubmitBatch(batch.scripts);
+      ASSERT_TRUE(merged.ok())
+          << "threads=" << threads << " morsel=" << morsel << ": "
+          << merged.status().ToString();
+      ASSERT_EQ(merged->script_outputs.size(), expected.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(Canonical(merged->script_outputs[i]), expected[i])
+            << "script " << i << " diverged at threads=" << threads
+            << " morsel=" << morsel;
       }
     }
   }
@@ -283,14 +280,20 @@ TEST(CrossQueryCacheTest, SubmissionQueueFlushPreservesTicketOrder) {
 
 // --- Pin API (fault-recovery re-reads vs eviction) ------------------------
 
-PartitionedData TaggedRows(int64_t tag, int rows) {
-  PartitionedData data;
+/// One partition of `rows` int64 cells tag*1000, tag*1000+1, ... (8 bytes
+/// each).
+BatchData TaggedRows(int64_t tag, int rows) {
+  BatchData data;
   data.schema.AddColumn({/*id=*/1, "A", "", DataType::kInt64});
-  data.partitions.resize(1);
-  for (int i = 0; i < rows; ++i) {
-    data.partitions[0].push_back({Value::Int(tag * 1000 + i)});
-  }
+  std::vector<Row> cells;
+  for (int i = 0; i < rows; ++i) cells.push_back({Value::Int(tag * 1000 + i)});
+  data.partitions.push_back(PartitionFromRows(cells, 1));
   return data;
+}
+
+/// The first cell of a TaggedRows batch.
+Value FirstCell(const BatchData& data) {
+  return data.partitions[0].columns[0]->ValueAt(0);
 }
 
 SpoolCacheKey KeyFor(const std::string& canon) {
@@ -305,54 +308,54 @@ TEST(CrossQueryCacheTest, PinnedEntrySurvivesEvictionPressure) {
   // Budget admits the 32-byte entry below, and nothing more.
   CrossQuerySpoolCache cache(50);
   // Cheapest possible entry: the eviction policy's first victim.
-  cache.InsertRows(KeyFor("pinned"), TaggedRows(1, 4), /*recompute_cost=*/1);
+  cache.InsertBatch(KeyFor("pinned"), TaggedRows(1, 4), /*recompute_cost=*/1);
 
   auto pin = cache.Pin(KeyFor("pinned"));
   ASSERT_TRUE(pin);
-  const PartitionedData& held = pin.rows();
-  ASSERT_EQ(held.TotalRows(), 4);
+  const BatchData& held = pin.batch();
+  ASSERT_EQ(held.TotalLiveRows(), 4);
 
   // Budget pressure while pinned: the recovery re-read (this is the
   // eviction-racing-a-recovery bug) must keep reading valid data.
   for (int64_t i = 0; i < 8; ++i) {
-    cache.InsertRows(KeyFor("filler" + std::to_string(i)),
+    cache.InsertBatch(KeyFor("filler" + std::to_string(i)),
                      TaggedRows(100 + i, 64), /*recompute_cost=*/1e9);
   }
-  EXPECT_EQ(held.partitions[0][0][0], Value::Int(1000))
+  EXPECT_EQ(FirstCell(held), Value::Int(1000))
       << "pinned data must stay readable under eviction pressure";
-  EXPECT_TRUE(cache.LookupRows(KeyFor("pinned")).has_value())
+  EXPECT_TRUE(cache.LookupBatch(KeyFor("pinned")).has_value())
       << "a pinned entry must never be evicted";
 
   // Released, the entry is an ordinary (cheap) victim again.
   pin.Release();
   EXPECT_FALSE(pin);
-  cache.InsertRows(KeyFor("last"), TaggedRows(999, 64),
+  cache.InsertBatch(KeyFor("last"), TaggedRows(999, 64),
                    /*recompute_cost=*/1e9);
-  EXPECT_FALSE(cache.LookupRows(KeyFor("pinned")).has_value())
+  EXPECT_FALSE(cache.LookupBatch(KeyFor("pinned")).has_value())
       << "after Release the budget pressure must evict it";
 }
 
 TEST(CrossQueryCacheTest, InsertOverPinnedEntryKeepsPinnedData) {
   CrossQuerySpoolCache cache(-1);  // unlimited
-  cache.InsertRows(KeyFor("k"), TaggedRows(1, 3), /*recompute_cost=*/10);
+  cache.InsertBatch(KeyFor("k"), TaggedRows(1, 3), /*recompute_cost=*/10);
   auto pin = cache.Pin(KeyFor("k"));
   ASSERT_TRUE(pin);
 
   // In real use a same-key insert carries identical data (the key is the
   // exact canonical sub-DAG); distinct rows here make "old entry kept"
   // observable.
-  cache.InsertRows(KeyFor("k"), TaggedRows(2, 3), /*recompute_cost=*/10);
-  EXPECT_EQ(pin.rows().partitions[0][0][0], Value::Int(1000))
+  cache.InsertBatch(KeyFor("k"), TaggedRows(2, 3), /*recompute_cost=*/10);
+  EXPECT_EQ(FirstCell(pin.batch()), Value::Int(1000))
       << "replacing a pinned entry would dangle the recovery read";
-  auto lookup = cache.LookupRows(KeyFor("k"));
+  auto lookup = cache.LookupBatch(KeyFor("k"));
   ASSERT_TRUE(lookup.has_value());
-  EXPECT_EQ(lookup->partitions[0][0][0], Value::Int(1000));
+  EXPECT_EQ(FirstCell(*lookup), Value::Int(1000));
 
   pin.Release();
-  cache.InsertRows(KeyFor("k"), TaggedRows(3, 3), /*recompute_cost=*/10);
-  lookup = cache.LookupRows(KeyFor("k"));
+  cache.InsertBatch(KeyFor("k"), TaggedRows(3, 3), /*recompute_cost=*/10);
+  lookup = cache.LookupBatch(KeyFor("k"));
   ASSERT_TRUE(lookup.has_value());
-  EXPECT_EQ(lookup->partitions[0][0][0], Value::Int(3000))
+  EXPECT_EQ(FirstCell(*lookup), Value::Int(3000))
       << "unpinned entries are replaceable again";
 }
 
@@ -374,7 +377,7 @@ TEST(CrossQueryCacheTest, ConcurrentEvictionNeverInvalidatesPins) {
   // Budget admits the 128-byte hot entry; every 256-byte insert below
   // overflows it and triggers an eviction pass.
   CrossQuerySpoolCache cache(200);
-  cache.InsertRows(KeyFor("hot"), TaggedRows(7, 16), /*recompute_cost=*/1);
+  cache.InsertBatch(KeyFor("hot"), TaggedRows(7, 16), /*recompute_cost=*/1);
 
   // Long-lived anchor pin: the cheapest entry would otherwise be the first
   // victim of every insertion below.
@@ -384,16 +387,16 @@ TEST(CrossQueryCacheTest, ConcurrentEvictionNeverInvalidatesPins) {
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     for (int64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-      cache.InsertRows(KeyFor("w" + std::to_string(i % 13)),
+      cache.InsertBatch(KeyFor("w" + std::to_string(i % 13)),
                        TaggedRows(i, 32), /*recompute_cost=*/1e9);
     }
   });
   for (int iter = 0; iter < 200; ++iter) {
     auto pin = cache.Pin(KeyFor("hot"));  // nested pin, as two recoveries
     ASSERT_TRUE(pin) << "pinned entry evicted at iteration " << iter;
-    const PartitionedData& rows = pin.rows();
-    ASSERT_EQ(rows.TotalRows(), 16);
-    EXPECT_EQ(rows.partitions[0][0][0], Value::Int(7000));
+    const BatchData& rows = pin.batch();
+    ASSERT_EQ(rows.TotalLiveRows(), 16);
+    EXPECT_EQ(FirstCell(rows), Value::Int(7000));
   }
   stop.store(true, std::memory_order_relaxed);
   writer.join();

@@ -81,12 +81,11 @@ TEST(EngineTest, DiagnosticsExposed) {
 
 TEST(EngineTest, ExecMetricsToJsonCarriesEveryCounter) {
   // Regression for the scx_cli --json --execute surface: the JSON must
-  // carry every ExecMetrics counter, including the batch-pipeline ones
-  // (batches_evaluated / exprs_deduped / rows_converted /
-  // batch_pipeline_breaks) next to the spool counters.
+  // carry every ExecMetrics counter, including the vectorized-pipeline ones
+  // (batches_evaluated / exprs_deduped / morsel counters) next to the spool
+  // counters.
   OptimizerConfig config;
   config.cluster.machines = 4;
-  config.cluster.batch_size = 256;  // pinned: SCX_BATCH_SIZE must not leak in
   Engine engine(MakeExecutionCatalog(2000), config);
   auto compiled = engine.Compile(kScriptS1);
   ASSERT_TRUE(compiled.ok());
@@ -102,14 +101,13 @@ TEST(EngineTest, ExecMetricsToJsonCarriesEveryCounter) {
         "\"spool_reads\":", "\"spool_cache_hits\":",
         "\"operator_invocations\":", "\"rows_output\":",
         "\"batches_evaluated\":", "\"exprs_deduped\":",
-        "\"rows_converted\":", "\"batch_pipeline_breaks\":",
         "\"morsels_evaluated\":", "\"morsel_steal_count\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   // Counter values round-trip: spot-check the two batch counters against
-  // the struct (S1 runs with batch_size 256, so batches > 0).
+  // the struct.
   EXPECT_NE(json.find("\"batches_evaluated\":" +
                       std::to_string(metrics->batches_evaluated)),
             std::string::npos);
@@ -117,42 +115,37 @@ TEST(EngineTest, ExecMetricsToJsonCarriesEveryCounter) {
                       std::to_string(metrics->exprs_deduped)),
             std::string::npos);
   EXPECT_GT(metrics->batches_evaluated, 0);
-  // The pipeline is batch-native end to end: no unsanctioned row bridge
-  // anywhere (Output's sink conversion is sanctioned and not counted).
-  EXPECT_EQ(metrics->rows_converted, 0);
-  EXPECT_EQ(metrics->batch_pipeline_breaks, 0);
   EXPECT_GT(metrics->morsels_evaluated, 0);
 }
 
-TEST(EngineTest, BatchSizeConfigSelectsRowPath) {
-  // ClusterConfig.batch_size = 1 is the legacy row path: identical outputs,
-  // zero batch counters.
-  OptimizerConfig batched_cfg;
-  batched_cfg.cluster.machines = 4;
-  batched_cfg.cluster.batch_size = 256;  // pinned against SCX_BATCH_SIZE
-  Engine batched(MakeExecutionCatalog(2000), batched_cfg);
-  OptimizerConfig row_cfg = batched_cfg;
-  row_cfg.cluster.batch_size = 1;
-  Engine rowwise(MakeExecutionCatalog(2000), row_cfg);
-
-  auto run = [](Engine& e) {
-    auto compiled = e.Compile(kScriptS1);
-    EXPECT_TRUE(compiled.ok());
-    auto optimized = e.Optimize(*compiled, OptimizerMode::kCse);
-    EXPECT_TRUE(optimized.ok());
-    auto metrics = e.Execute(*optimized);
-    EXPECT_TRUE(metrics.ok());
-    return std::move(metrics.value());
-  };
-  ExecMetrics b = run(batched);
-  ExecMetrics r = run(rowwise);
-  EXPECT_GT(b.batches_evaluated, 0);
-  EXPECT_EQ(r.batches_evaluated, 0);
-  EXPECT_EQ(r.exprs_deduped, 0);
-  EXPECT_EQ(r.rows_converted, 0);
-  EXPECT_EQ(r.batch_pipeline_breaks, 0);
-  EXPECT_EQ(b.outputs, r.outputs);
-  EXPECT_EQ(b.rows_output, r.rows_output);
+TEST(EngineTest, ClusterWithoutMachinesIsInvalidArgument) {
+  // Every entry point that plans or runs for a cluster rejects a machine
+  // count below one with InvalidArgument, instead of failing to find a
+  // plan or aborting while sizing the partitions.
+  Engine good(MakeExecutionCatalog(2000));
+  auto compiled = good.Compile(kScriptS1);
+  ASSERT_TRUE(compiled.ok());
+  auto optimized = good.Optimize(*compiled, OptimizerMode::kCse);
+  ASSERT_TRUE(optimized.ok());
+  auto batch = good.CompileBatch({kScriptS1});
+  ASSERT_TRUE(batch.ok());
+  for (int machines : {0, -3}) {
+    const std::string at = "machines=" + std::to_string(machines);
+    OptimizerConfig config;
+    config.cluster.machines = machines;
+    Engine engine(MakeExecutionCatalog(2000), config);
+    auto opt = engine.Optimize(*compiled, OptimizerMode::kCse);
+    EXPECT_EQ(opt.status().code(), StatusCode::kInvalidArgument) << at;
+    auto exec = engine.Execute(*optimized);
+    EXPECT_EQ(exec.status().code(), StatusCode::kInvalidArgument) << at;
+    auto opt_batch = engine.OptimizeBatch(*batch, OptimizerMode::kCse);
+    EXPECT_EQ(opt_batch.status().code(), StatusCode::kInvalidArgument) << at;
+    auto submitted = engine.SubmitBatch({kScriptS1});
+    EXPECT_EQ(submitted.status().code(), StatusCode::kInvalidArgument) << at;
+    Executor executor(config.cluster);
+    auto direct = executor.Execute(optimized->plan());
+    EXPECT_EQ(direct.status().code(), StatusCode::kInvalidArgument) << at;
+  }
 }
 
 TEST(EngineTest, OptimizerIntrospectionAvailable) {

@@ -19,6 +19,7 @@
 #include <utility>
 
 #include "api/engine.h"
+#include "testing/reference_eval.h"
 #include "workload/large_scripts.h"
 #include "workload/paper_scripts.h"
 #include "paper_script_param.h"
@@ -30,6 +31,7 @@ struct PlanUnderTest {
   std::string name;
   PhysicalNodePtr plan;
   int machines = 8;
+  LogicalNodePtr logical;  ///< the bound script the plan was optimized from
 };
 
 PlanUnderTest OptimizeOnce(const std::string& name, const Catalog& catalog,
@@ -43,7 +45,7 @@ PlanUnderTest OptimizeOnce(const std::string& name, const Catalog& catalog,
   auto optimized = engine.Optimize(*compiled, mode);
   EXPECT_TRUE(optimized.ok()) << name << ": "
                               << optimized.status().ToString();
-  return {name, optimized->plan(), machines};
+  return {name, optimized->plan(), machines, compiled->bound.root};
 }
 
 ExecMetrics RunWithCluster(const PlanUnderTest& t, ClusterConfig cluster,
@@ -58,13 +60,26 @@ ExecMetrics RunWithCluster(const PlanUnderTest& t, ClusterConfig cluster,
 }
 
 ExecMetrics RunWithThreads(const PlanUnderTest& t, int threads,
-                           int batch_size = 0, int morsel_size = 0,
+                           int morsel_size = 0,
                            int64_t* pool_passes = nullptr) {
   ClusterConfig cluster;
   cluster.exec_threads = threads;
-  cluster.batch_size = batch_size;
   cluster.morsel_size = morsel_size;
   return RunWithCluster(t, cluster, pool_passes);
+}
+
+/// The run's outputs are the reference evaluation's (canonical compare, as
+/// SameOutputs), and every ORDER BY output arrived in order.
+void ExpectMatchesReference(const PlanUnderTest& t, const ExecMetrics& run,
+                            const std::string& at) {
+  auto reference = EvaluateReference(t.logical);
+  ASSERT_TRUE(reference.ok()) << t.name << ": "
+                              << reference.status().ToString();
+  ExecMetrics expected;
+  expected.outputs = std::move(*reference);
+  EXPECT_TRUE(SameOutputs(expected, run)) << t.name << " " << at;
+  Status order = CheckOutputOrder(t.logical, run.outputs);
+  EXPECT_TRUE(order.ok()) << t.name << " " << at << ": " << order.ToString();
 }
 
 void ExpectBitIdentical(const PlanUnderTest& t, const ExecMetrics& serial,
@@ -85,9 +100,6 @@ void ExpectBitIdentical(const PlanUnderTest& t, const ExecMetrics& serial,
   // order), so they too are thread-count invariant.
   EXPECT_EQ(serial.batches_evaluated, parallel.batches_evaluated) << t.name;
   EXPECT_EQ(serial.exprs_deduped, parallel.exprs_deduped) << t.name;
-  EXPECT_EQ(serial.rows_converted, parallel.rows_converted) << t.name;
-  EXPECT_EQ(serial.batch_pipeline_breaks, parallel.batch_pipeline_breaks)
-      << t.name;
   // The morsel counters are functions of partition live counts and the
   // morsel size only — never of the thread schedule.
   EXPECT_EQ(serial.morsels_evaluated, parallel.morsels_evaluated) << t.name;
@@ -111,6 +123,7 @@ void CheckScript(const std::string& name, const Catalog& catalog,
   ExecMetrics parallel = RunWithThreads(t, 4);
   ExpectBitIdentical(t, serial, parallel);
   ASSERT_FALSE(serial.outputs.empty()) << name;
+  ExpectMatchesReference(t, serial, "serial");
 }
 
 class PaperScriptParallel
@@ -154,72 +167,55 @@ TEST(ExecutorParallelTest, ManyThreadsAndFewMachines) {
   ExpectBitIdentical(t, serial, parallel);
 }
 
-TEST(ExecutorParallelTest, BatchSizeSweepBitIdenticalToRowPath) {
-  // Any batch size must produce the exact rows and legacy counters of the
-  // batch_size=1 row-at-a-time path, at any thread count. (batch_size=1 is
-  // the differential anchor: it runs the verbatim legacy loops.)
+TEST(ExecutorParallelTest, ThreadSweepBitIdenticalAndMatchesReference) {
+  // Every thread count must produce the serial run's raw rows and counters,
+  // and the serial run must compute what the reference evaluator computes.
   for (auto [name, script] :
        {std::make_pair("S2", kScriptS2), std::make_pair("S4", kScriptS4)}) {
     PlanUnderTest t = OptimizeOnce(name, MakeExecutionCatalog(4000), script,
                                    OptimizerMode::kCse, /*machines=*/4);
     ASSERT_NE(t.plan, nullptr) << name;
-    ExecMetrics rows = RunWithThreads(t, /*threads=*/1, /*batch_size=*/1);
-    EXPECT_EQ(rows.batches_evaluated, 0) << name;
-    EXPECT_EQ(rows.exprs_deduped, 0) << name;
-    for (int batch_size : {2, 3, 7, 1024, 4096}) {
-      ExecMetrics serial = RunWithThreads(t, 1, batch_size);
-      ExecMetrics parallel = RunWithThreads(t, 4, batch_size);
-      ExpectBitIdentical(t, serial, parallel);
-      // Cross-batch-size: everything but the batch counters matches the
-      // row path bit for bit.
-      EXPECT_EQ(serial.outputs, rows.outputs)
-          << name << " batch " << batch_size;
-      EXPECT_EQ(serial.rows_shuffled, rows.rows_shuffled) << batch_size;
-      EXPECT_EQ(serial.rows_output, rows.rows_output) << batch_size;
-      EXPECT_EQ(serial.spool_cache_hits, rows.spool_cache_hits)
-          << batch_size;
-      EXPECT_GT(serial.batches_evaluated, 0)
-          << name << " batch " << batch_size;
+    ExecMetrics serial = RunWithThreads(t, /*threads=*/1);
+    ExpectMatchesReference(t, serial, "serial");
+    EXPECT_GT(serial.batches_evaluated, 0) << name;
+    for (int threads : {2, 3, 4, 7}) {
+      ExpectBitIdentical(t, serial, RunWithThreads(t, threads));
     }
   }
 }
 
-TEST(ExecutorParallelTest, SpoolHeavyBatchSweepPreservesSpoolCounters) {
+TEST(ExecutorParallelTest, SpoolHeavyMorselSweepPreservesSpoolCounters) {
   // A shared aggregate with three consumers: in kCse mode the optimizer
-  // spools it, so the batch pipeline's column-batch spool cache must
-  // reproduce the row path's spool accounting exactly — one execution,
-  // three reads, two cache hits worth of sharing — at every batch size.
+  // spools it, and the column-batch spool cache must account one
+  // execution plus one cache hit per further read — at every morsel size
+  // and thread count, with the reference evaluator's outputs.
   PlanUnderTest t = OptimizeOnce("S2-spool", MakeExecutionCatalog(4000),
                                  kScriptS2, OptimizerMode::kCse,
                                  /*machines=*/4);
   ASSERT_NE(t.plan, nullptr);
-  ExecMetrics rows = RunWithThreads(t, /*threads=*/1, /*batch_size=*/1);
-  ASSERT_GT(rows.spool_cache_hits, 0) << "S2 kCse must share via a spool";
-  EXPECT_EQ(rows.rows_converted, 0);
-  EXPECT_EQ(rows.batch_pipeline_breaks, 0);
-  for (int batch_size : {2, 61, 4096}) {
-    ExecMetrics serial = RunWithThreads(t, 1, batch_size);
-    ExecMetrics parallel = RunWithThreads(t, 4, batch_size);
+  ExecMetrics base = RunWithThreads(t, /*threads=*/1);
+  ASSERT_GT(base.spool_cache_hits, 0) << "S2 kCse must share via a spool";
+  EXPECT_EQ(base.spool_reads, base.spool_executions + base.spool_cache_hits);
+  ExpectMatchesReference(t, base, "default morsel");
+  for (int morsel_size : {2, 61, 4096}) {
+    ExecMetrics serial = RunWithThreads(t, 1, morsel_size);
+    ExecMetrics parallel = RunWithThreads(t, 4, morsel_size);
     ExpectBitIdentical(t, serial, parallel);
-    EXPECT_EQ(serial.outputs, rows.outputs) << "batch " << batch_size;
-    EXPECT_EQ(serial.bytes_spooled, rows.bytes_spooled) << batch_size;
-    EXPECT_EQ(serial.rows_spooled, rows.rows_spooled) << batch_size;
-    EXPECT_EQ(serial.spool_executions, rows.spool_executions) << batch_size;
-    EXPECT_EQ(serial.spool_reads, rows.spool_reads) << batch_size;
-    EXPECT_EQ(serial.spool_cache_hits, rows.spool_cache_hits) << batch_size;
-    // The pipeline is batch-native end to end: no unsanctioned row bridge
-    // (Output's sink conversion is sanctioned and not counted).
-    EXPECT_EQ(serial.rows_converted, 0) << batch_size;
-    EXPECT_EQ(serial.batch_pipeline_breaks, 0) << batch_size;
+    EXPECT_EQ(serial.outputs, base.outputs) << "morsel " << morsel_size;
+    EXPECT_EQ(serial.bytes_spooled, base.bytes_spooled) << morsel_size;
+    EXPECT_EQ(serial.rows_spooled, base.rows_spooled) << morsel_size;
+    EXPECT_EQ(serial.spool_executions, base.spool_executions) << morsel_size;
+    EXPECT_EQ(serial.spool_reads, base.spool_reads) << morsel_size;
+    EXPECT_EQ(serial.spool_cache_hits, base.spool_cache_hits) << morsel_size;
   }
 }
 
-TEST(ExecutorParallelTest, ExchangeHeavyBatchSweepPreservesShuffleCounters) {
+TEST(ExecutorParallelTest, ExchangeHeavyMorselSweepPreservesShuffleCounters) {
   // Hash exchanges (group-bys over a shared spool) plus a range exchange
-  // (the ORDER BY) — formerly the one operator that bridged through rows,
-  // now batch-native (columnar quantile boundaries + morsel-binned
-  // scatter). Shuffle accounting and raw rows must match the row path at
-  // every batch size, with zero bridges.
+  // (the ORDER BY: columnar quantile boundaries + morsel-binned scatter).
+  // Shuffle accounting and raw rows must not move with the morsel size or
+  // the thread count, and the rows must be the reference evaluator's, in
+  // ORDER BY order.
   const char* script =
       "R0 = EXTRACT A,B,C,D FROM \"test.log\" USING LogExtractor;\n"
       "R  = SELECT A,B,C,Sum(D) AS S FROM R0 GROUP BY A,B,C;\n"
@@ -230,27 +226,26 @@ TEST(ExecutorParallelTest, ExchangeHeavyBatchSweepPreservesShuffleCounters) {
   PlanUnderTest t = OptimizeOnce("orderby", MakeExecutionCatalog(4000),
                                  script, OptimizerMode::kCse, /*machines=*/4);
   ASSERT_NE(t.plan, nullptr);
-  ExecMetrics rows = RunWithThreads(t, /*threads=*/1, /*batch_size=*/1);
-  ASSERT_GT(rows.rows_shuffled, 0);
-  for (int batch_size : {2, 61, 4096}) {
-    ExecMetrics serial = RunWithThreads(t, 1, batch_size);
-    ExecMetrics parallel = RunWithThreads(t, 4, batch_size);
+  ExecMetrics base = RunWithThreads(t, /*threads=*/1);
+  ASSERT_GT(base.rows_shuffled, 0);
+  ExpectMatchesReference(t, base, "default morsel");
+  for (int morsel_size : {2, 61, 4096}) {
+    ExecMetrics serial = RunWithThreads(t, 1, morsel_size);
+    ExecMetrics parallel = RunWithThreads(t, 4, morsel_size);
     ExpectBitIdentical(t, serial, parallel);
-    EXPECT_EQ(serial.outputs, rows.outputs) << "batch " << batch_size;
-    EXPECT_EQ(serial.rows_shuffled, rows.rows_shuffled) << batch_size;
-    EXPECT_EQ(serial.bytes_shuffled, rows.bytes_shuffled) << batch_size;
-    EXPECT_EQ(serial.batch_pipeline_breaks, 0) << batch_size;
-    EXPECT_EQ(serial.rows_converted, 0) << batch_size;
+    EXPECT_EQ(serial.outputs, base.outputs) << "morsel " << morsel_size;
+    EXPECT_EQ(serial.rows_shuffled, base.rows_shuffled) << morsel_size;
+    EXPECT_EQ(serial.bytes_shuffled, base.bytes_shuffled) << morsel_size;
   }
 }
 
-TEST(ExecutorParallelTest, MorselSizeSweepBitIdenticalToRowPath) {
-  // The tentpole contract: outputs and legacy counters are bit-identical
-  // across every morsel size x thread count combination, and match the
-  // batch_size=1 row anchor. At a fixed (batch, morsel) size the batch and
+TEST(ExecutorParallelTest, MorselSizeSweepBitIdenticalAndMatchesReference) {
+  // The morsel contract: outputs and every non-morsel counter are
+  // bit-identical across every morsel size x thread count combination, and
+  // the outputs are the reference evaluator's. At a fixed morsel size the
   // morsel counters are thread-invariant too (ExpectBitIdentical); across
   // morsel sizes the batch counters stay fixed (they are functions of live
-  // counts and batch_size alone) while the morsel counters move.
+  // counts alone) while the morsel counters move.
   const char* script =
       "R0 = EXTRACT A,B,C,D FROM \"test.log\" USING LogExtractor;\n"
       "R  = SELECT A,B,C,Sum(D) AS S FROM R0 GROUP BY A,B,C;\n"
@@ -263,26 +258,24 @@ TEST(ExecutorParallelTest, MorselSizeSweepBitIdenticalToRowPath) {
     PlanUnderTest t = OptimizeOnce(name, MakeExecutionCatalog(4000), text,
                                    OptimizerMode::kCse, /*machines=*/4);
     ASSERT_NE(t.plan, nullptr) << name;
-    ExecMetrics rows = RunWithThreads(t, /*threads=*/1, /*batch_size=*/1);
-    const int batch_size = 64;
     ExecMetrics anchor;  // morsel size 1: maximal morsel fan-out
     bool have_anchor = false;
     for (int morsel_size : {1, 61, 4096, 1 << 30}) {
-      ExecMetrics serial = RunWithThreads(t, 1, batch_size, morsel_size);
-      ExecMetrics parallel = RunWithThreads(t, 4, batch_size, morsel_size);
+      ExecMetrics serial = RunWithThreads(t, 1, morsel_size);
+      ExecMetrics parallel = RunWithThreads(t, 4, morsel_size);
       ExpectBitIdentical(t, serial, parallel);
-      EXPECT_EQ(serial.outputs, rows.outputs)
-          << name << " morsel " << morsel_size;
-      EXPECT_EQ(serial.rows_shuffled, rows.rows_shuffled) << morsel_size;
-      EXPECT_EQ(serial.bytes_shuffled, rows.bytes_shuffled) << morsel_size;
-      EXPECT_EQ(serial.rows_output, rows.rows_output) << morsel_size;
-      EXPECT_EQ(serial.rows_converted, 0) << morsel_size;
-      EXPECT_EQ(serial.batch_pipeline_breaks, 0) << morsel_size;
       EXPECT_GT(serial.morsels_evaluated, 0) << morsel_size;
       if (!have_anchor) {
+        ExpectMatchesReference(t, serial, "morsel 1");
         anchor = std::move(serial);
         have_anchor = true;
       } else {
+        EXPECT_EQ(serial.outputs, anchor.outputs)
+            << name << " morsel " << morsel_size;
+        EXPECT_EQ(serial.rows_shuffled, anchor.rows_shuffled) << morsel_size;
+        EXPECT_EQ(serial.bytes_shuffled, anchor.bytes_shuffled)
+            << morsel_size;
+        EXPECT_EQ(serial.rows_output, anchor.rows_output) << morsel_size;
         // Batch counters do not depend on the morsel size.
         EXPECT_EQ(serial.batches_evaluated, anchor.batches_evaluated)
             << name << " morsel " << morsel_size;
@@ -318,21 +311,19 @@ TEST(ExecutorParallelTest, SerialCutoffBothSidesBitIdentical) {
   PlanUnderTest t = OptimizeOnce("cutoff", MakeExecutionCatalog(rows), script,
                                  OptimizerMode::kCse, /*machines=*/8);
   ASSERT_NE(t.plan, nullptr);
-  ExecMetrics rows_path = RunWithThreads(t, /*threads=*/1, /*batch_size=*/1);
-  ASSERT_GE(rows_path.rows_extracted, rows);
-  ASSERT_LE(rows_path.outputs.at("result1.out").size(), 8u);
+  ExecMetrics base = RunWithThreads(t, /*threads=*/1);
+  ASSERT_GE(base.rows_extracted, rows);
+  ASSERT_LE(base.outputs.at("result1.out").size(), 8u);
+  ExpectMatchesReference(t, base, "serial");
   for (int morsel_size : {61, 1 << 30}) {
-    const int batch_size = 64;
     int64_t pool_passes = -1;
-    ExecMetrics serial = RunWithThreads(t, 1, batch_size, morsel_size);
-    ExecMetrics parallel =
-        RunWithThreads(t, 4, batch_size, morsel_size, &pool_passes);
+    ExecMetrics serial = RunWithThreads(t, 1, morsel_size);
+    ExecMetrics parallel = RunWithThreads(t, 4, morsel_size, &pool_passes);
     ExpectBitIdentical(t, serial, parallel);
     EXPECT_GT(pool_passes, 0) << morsel_size;
-    EXPECT_EQ(serial.outputs, rows_path.outputs) << "morsel " << morsel_size;
-    EXPECT_EQ(serial.rows_shuffled, rows_path.rows_shuffled) << morsel_size;
-    EXPECT_EQ(serial.bytes_shuffled, rows_path.bytes_shuffled)
-        << morsel_size;
+    EXPECT_EQ(serial.outputs, base.outputs) << "morsel " << morsel_size;
+    EXPECT_EQ(serial.rows_shuffled, base.rows_shuffled) << morsel_size;
+    EXPECT_EQ(serial.bytes_shuffled, base.bytes_shuffled) << morsel_size;
     EXPECT_GT(serial.morsels_evaluated, 0) << morsel_size;
   }
 }
@@ -363,10 +354,11 @@ TEST(ExecutorParallelTest, EveryOperatorKindMatchesSerialOnThePool) {
   // ORDER BY's range exchange and sort over R1 (~1.7 x cutoff groups),
   // and the hash join's build, probe and output gather (R1 x T1 on A,
   // ~1.3 x cutoff pairs). The union itself
-  // concatenates on the calling thread. Row path, default batches and an
-  // odd batch/morsel size, plus a fault-armed run whose recovery
-  // recomputes lost partitions: every output and counter must be the
-  // serial run's. All knobs are pinned, so the tsan job's environment
+  // concatenates on the calling thread. The default and an odd morsel
+  // size, plus a fault-armed run whose recovery recomputes lost
+  // partitions: every output and counter must be the serial run's, and the
+  // outputs the reference evaluator's. All knobs are pinned, so the tsan
+  // job's environment
   // (1 MiB spool budget, 53-row morsels) does not turn this into thousands
   // of recomputations and pool jobs per pass.
   const char* script =
@@ -387,28 +379,24 @@ TEST(ExecutorParallelTest, EveryOperatorKindMatchesSerialOnThePool) {
   ClusterConfig cluster;
   cluster.spool_cache_bytes = -1;
   cluster.exec_threads = 1;
-  cluster.batch_size = 1;
-  ExecMetrics rows_path = RunWithCluster(t, cluster);
-  ASSERT_GT(rows_path.outputs.at("joined.out").size(),
+  cluster.morsel_size = 16384;
+  ExecMetrics base = RunWithCluster(t, cluster);
+  ASSERT_GT(base.outputs.at("joined.out").size(),
             static_cast<size_t>(Executor::kSerialCutoffRows));
-  ASSERT_GT(rows_path.spool_cache_hits, 0) << "R and R1 must be spooled";
-  struct Knobs {
-    int batch_size, morsel_size;
-  };
-  for (Knobs k : {Knobs{1, 16384}, Knobs{4096, 16384}, Knobs{61, 1021}}) {
-    cluster.batch_size = k.batch_size;
-    cluster.morsel_size = k.morsel_size;
+  ASSERT_GT(base.spool_cache_hits, 0) << "R and R1 must be spooled";
+  ExpectMatchesReference(t, base, "serial");
+  for (int morsel_size : {16384, 1021}) {
+    cluster.morsel_size = morsel_size;
     int64_t serial_passes = -1, pool_passes = -1;
     cluster.exec_threads = 1;
     ExecMetrics serial = RunWithCluster(t, cluster, &serial_passes);
     cluster.exec_threads = 4;
     ExecMetrics parallel = RunWithCluster(t, cluster, &pool_passes);
     ExpectBitIdentical(t, serial, parallel);
-    EXPECT_EQ(serial.outputs, rows_path.outputs) << "batch " << k.batch_size;
-    EXPECT_EQ(serial_passes, 0) << "batch " << k.batch_size;
-    EXPECT_GT(pool_passes, 0) << "batch " << k.batch_size;
+    EXPECT_EQ(serial.outputs, base.outputs) << "morsel " << morsel_size;
+    EXPECT_EQ(serial_passes, 0) << "morsel " << morsel_size;
+    EXPECT_GT(pool_passes, 0) << "morsel " << morsel_size;
   }
-  cluster.batch_size = 4096;
   cluster.morsel_size = 16384;
   cluster.fault_plan.seed = 7;
   cluster.fault_plan.failure_prob = 0.1;
@@ -420,7 +408,7 @@ TEST(ExecutorParallelTest, EveryOperatorKindMatchesSerialOnThePool) {
   int64_t pool_passes = -1;
   ExecMetrics parallel = RunWithCluster(t, cluster, &pool_passes);
   ExpectBitIdentical(t, serial, parallel);
-  EXPECT_EQ(serial.outputs, rows_path.outputs);
+  EXPECT_EQ(serial.outputs, base.outputs);
   EXPECT_GT(pool_passes, 0);
 }
 

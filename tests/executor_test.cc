@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <map>
 #include <string>
 
 #include "api/engine.h"
+#include "testing/reference_eval.h"
 #include "workload/paper_scripts.h"
 #include "paper_script_param.h"
 
@@ -270,7 +272,7 @@ TEST(ExecutorTest, SameOutputsDetectsDifferences) {
   EXPECT_FALSE(SameOutputs(a, b));
 }
 
-// --- Aggregate and join keys: batch path vs the batch_size = 1 row path.
+// --- Aggregate and join keys: plans vs the reference evaluator.
 
 ColumnStats Col(const char* name, DataType type, int64_t ndv) {
   ColumnStats c;
@@ -318,50 +320,74 @@ bool SameBits(const std::vector<Row>& a, const std::vector<Row>& b) {
   return true;
 }
 
-/// Optimizes `script` once and executes the plan on the row path
-/// (batch_size 1) and on the batch path at batch sizes {61, 4096} x
-/// threads {1, 4}: raw output rows (bitwise) and every counter the two
-/// paths share must be identical.
-void ExpectBatchMatchesRowPath(const Catalog& catalog,
-                               const std::string& script) {
+/// Strict total order on cells that tells every double bit pattern apart
+/// (Value's ordering treats NaN as equal to everything, so it cannot sort
+/// rows holding NaN into a canonical order).
+bool BitLess(const Row& a, const Row& b) {
+  for (size_t j = 0; j < std::min(a.size(), b.size()); ++j) {
+    const Value& x = a[j];
+    const Value& y = b[j];
+    if (x.type() != y.type()) return x.type() < y.type();
+    if (x.is_double()) {
+      const uint64_t bx = std::bit_cast<uint64_t>(x.as_double());
+      const uint64_t by = std::bit_cast<uint64_t>(y.as_double());
+      if (bx != by) return bx < by;
+    } else if (x != y) {
+      return x < y;
+    }
+  }
+  return a.size() < b.size();
+}
+
+std::vector<Row> BitCanonical(std::vector<Row> rows) {
+  std::sort(rows.begin(), rows.end(), BitLess);
+  return rows;
+}
+
+/// Optimizes `script` once and executes the CSE plan at threads {1, 4} x
+/// morsel sizes {61, default}: every run's outputs must equal the reference
+/// evaluation bit for bit (as canonical row sets), and the runs must agree
+/// with each other on the raw output rows and on every counter but the two
+/// morsel counters.
+void ExpectPlanMatchesReference(const Catalog& catalog,
+                                const std::string& script) {
   Engine engine(catalog, SmallCluster());
   auto compiled = engine.Compile(script);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   auto optimized = engine.Optimize(*compiled, OptimizerMode::kCse);
   ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
-  auto run = [&](int batch_size, int threads) {
+  auto reference = EvaluateReference(compiled->bound.root);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  auto run = [&](int morsel_size, int threads) {
     ClusterConfig cluster = SmallCluster().cluster;
-    cluster.batch_size = batch_size;
+    cluster.morsel_size = morsel_size;
     cluster.exec_threads = threads;
     Executor executor(cluster);
     auto m = executor.Execute(optimized->plan());
     EXPECT_TRUE(m.ok()) << m.status().ToString();
     return std::move(m.value());
   };
-  const ExecMetrics rows = run(1, 1);
-  ASSERT_FALSE(rows.outputs.empty());
-  for (int batch_size : {61, 4096}) {
+  const ExecMetrics first = run(61, 1);
+  ASSERT_EQ(first.outputs.size(), reference->size());
+  for (const auto& [path, rows] : *reference) {
+    ASSERT_TRUE(first.outputs.count(path)) << path;
+    EXPECT_TRUE(SameBits(BitCanonical(first.outputs.at(path)),
+                         BitCanonical(rows)))
+        << path << ": plan vs reference";
+  }
+  for (int morsel_size : {61, 0}) {
     for (int threads : {1, 4}) {
-      const ExecMetrics b = run(batch_size, threads);
-      const std::string at = "batch " + std::to_string(batch_size) +
+      const ExecMetrics b = run(morsel_size, threads);
+      const std::string at = "morsel " + std::to_string(morsel_size) +
                              " threads " + std::to_string(threads);
-      ASSERT_EQ(b.outputs.size(), rows.outputs.size()) << at;
-      for (const auto& [path, out] : rows.outputs) {
+      ASSERT_EQ(b.outputs.size(), first.outputs.size()) << at;
+      for (const auto& [path, out] : first.outputs) {
         EXPECT_TRUE(SameBits(b.outputs.at(path), out)) << at << " " << path;
       }
-      EXPECT_EQ(b.rows_extracted, rows.rows_extracted) << at;
-      EXPECT_EQ(b.bytes_extracted, rows.bytes_extracted) << at;
-      EXPECT_EQ(b.rows_shuffled, rows.rows_shuffled) << at;
-      EXPECT_EQ(b.bytes_shuffled, rows.bytes_shuffled) << at;
-      EXPECT_EQ(b.bytes_spooled, rows.bytes_spooled) << at;
-      EXPECT_EQ(b.rows_spooled, rows.rows_spooled) << at;
-      EXPECT_EQ(b.spool_executions, rows.spool_executions) << at;
-      EXPECT_EQ(b.spool_reads, rows.spool_reads) << at;
-      EXPECT_EQ(b.spool_cache_hits, rows.spool_cache_hits) << at;
-      EXPECT_EQ(b.operator_invocations, rows.operator_invocations) << at;
-      EXPECT_EQ(b.rows_output, rows.rows_output) << at;
-      EXPECT_EQ(b.rows_converted, 0) << at;
-      EXPECT_EQ(b.batch_pipeline_breaks, 0) << at;
+      ExecMetrics counters = b;
+      counters.morsels_evaluated = first.morsels_evaluated;
+      counters.morsel_steal_count = first.morsel_steal_count;
+      EXPECT_EQ(ExecMetricsToJson(counters), ExecMetricsToJson(first)) << at;
     }
   }
 }
@@ -369,8 +395,8 @@ void ExpectBatchMatchesRowPath(const Catalog& catalog,
 const char kTypedExtract[] =
     "R0 = EXTRACT K,X,A,D FROM \"typed.log\" USING X;\n";
 
-TEST(AggregateKeyTest, StringKeysMatchRowPath) {
-  ExpectBatchMatchesRowPath(
+TEST(AggregateKeyTest, StringKeysMatchReference) {
+  ExpectPlanMatchesReference(
       TypedCatalog(3000),
       std::string(kTypedExtract) +
           "R = SELECT K,Sum(D) AS S,Count(*) AS N,Avg(X) AS M,Min(X) AS L,"
@@ -378,18 +404,18 @@ TEST(AggregateKeyTest, StringKeysMatchRowPath) {
           "OUTPUT R TO \"o\";");
 }
 
-TEST(AggregateKeyTest, ManyCompositeGroupsMatchRowPath) {
+TEST(AggregateKeyTest, ManyCompositeGroupsMatchReference) {
   // String x double keys: thousands of groups, most partitions holding
   // hundreds of them.
-  ExpectBatchMatchesRowPath(
+  ExpectPlanMatchesReference(
       TypedCatalog(6000),
       std::string(kTypedExtract) +
           "R = SELECT K,X,Sum(D) AS S,Count(*) AS N FROM R0 GROUP BY K,X;\n"
           "OUTPUT R TO \"o\";");
 }
 
-TEST(AggregateKeyTest, GrandTotalOverManyAndZeroRowsMatchesRowPath) {
-  ExpectBatchMatchesRowPath(
+TEST(AggregateKeyTest, GrandTotalOverManyAndZeroRowsMatchesReference) {
+  ExpectPlanMatchesReference(
       TypedCatalog(3000),
       std::string(kTypedExtract) +
           "T = SELECT Sum(D) AS S,Count(*) AS N,Avg(X) AS M FROM R0;\n"
@@ -398,13 +424,13 @@ TEST(AggregateKeyTest, GrandTotalOverManyAndZeroRowsMatchesRowPath) {
           "OUTPUT T TO \"t\";\nOUTPUT Z TO \"z\";");
 }
 
-TEST(AggregateKeyTest, NaNKeysMatchRowPath) {
+TEST(AggregateKeyTest, NaNKeysMatchReference) {
   // X * 1e300 * 1e300 overflows to inf for every X != 0, so Q - Q is NaN
-  // there (and 0 for X = 0): every NaN row is a group of its own on both
-  // paths. Kept to a dozen rows so any sort of the NaN keys stays within
-  // std::sort's insertion-sort range.
+  // there (and 0 for X = 0): every NaN row is a group of its own in the
+  // plan and in the reference. Kept to a dozen rows so any sort of the NaN
+  // keys stays within std::sort's insertion-sort range.
   const std::string big = "1" + std::string(300, '0') + ".0";
-  ExpectBatchMatchesRowPath(
+  ExpectPlanMatchesReference(
       TypedCatalog(12),
       std::string(kTypedExtract) + "N = SELECT D,X*" + big + "*" + big +
           "-X*" + big + "*" + big + " AS Q FROM R0;\n" +
@@ -412,8 +438,8 @@ TEST(AggregateKeyTest, NaNKeysMatchRowPath) {
           "OUTPUT G TO \"g\";");
 }
 
-TEST(AggregateKeyTest, StringKeyJoinsMatchRowPath) {
-  ExpectBatchMatchesRowPath(
+TEST(AggregateKeyTest, StringKeyJoinsMatchReference) {
+  ExpectPlanMatchesReference(
       TypedCatalog(2000),
       std::string(kTypedExtract) +
           "T0 = EXTRACT K,X,A,D FROM \"typed2.log\" USING X;\n"

@@ -1,9 +1,9 @@
 // Expression-level CSE (src/plan/expr_cse): structurally duplicate
 // ScalarExpr subtrees across one Compute stage's items must collapse to a
 // single shared-slot step — including operand-swapped '+'/'*' forms via
-// commutative canonicalization — while end-to-end execution stays
-// bit-identical to the legacy row path (the pass may only change how often
-// a subtree is evaluated, never any produced value).
+// commutative canonicalization — while end-to-end execution still computes
+// the reference evaluator's outputs (the pass may only change how often a
+// subtree is evaluated, never any produced value).
 
 #include "plan/expr_cse.h"
 
@@ -16,6 +16,7 @@
 #include "catalog/catalog.h"
 #include "exec/executor.h"
 #include "plan/scalar.h"
+#include "testing/reference_eval.h"
 
 namespace scx {
 namespace {
@@ -284,7 +285,10 @@ Catalog DupCatalog() {
   return catalog;
 }
 
-ExecMetrics RunDupScript(int batch_size, int exec_threads) {
+/// Runs kDupScript's CSE plan; `reference` receives the reference
+/// evaluation of the bound script when non-null.
+ExecMetrics RunDupScript(int morsel_size, int exec_threads,
+                         ReferenceOutputs* reference = nullptr) {
   Catalog catalog = DupCatalog();
   OptimizerConfig config;
   config.cluster.machines = 4;
@@ -293,11 +297,16 @@ ExecMetrics RunDupScript(int batch_size, int exec_threads) {
   EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
   auto optimized = engine.Optimize(*compiled, OptimizerMode::kCse);
   EXPECT_TRUE(optimized.ok()) << optimized.status().ToString();
+  if (reference != nullptr) {
+    auto ref = EvaluateReference(compiled->bound.root);
+    EXPECT_TRUE(ref.ok()) << ref.status().ToString();
+    *reference = std::move(ref.value());
+  }
 
   ClusterConfig cluster;
   cluster.machines = 4;
   cluster.exec_threads = exec_threads;
-  cluster.batch_size = batch_size;
+  cluster.morsel_size = morsel_size;
   Executor executor(cluster);
   auto metrics = executor.Execute(optimized->plan());
   EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
@@ -305,32 +314,36 @@ ExecMetrics RunDupScript(int batch_size, int exec_threads) {
 }
 
 TEST(ExprCseExecutionTest, BatchedRunCountsDedupedExprsAndBatches) {
-  ExecMetrics batched = RunDupScript(/*batch_size=*/256, /*exec_threads=*/1);
+  ExecMetrics batched = RunDupScript(/*morsel_size=*/0, /*exec_threads=*/1);
   // (B+A) and the second (A+B) hit the memo in every Compute invocation.
   EXPECT_GT(batched.exprs_deduped, 0);
   EXPECT_GT(batched.batches_evaluated, 0);
-
-  // The batch_size=1 legacy row path reports 0 for both by definition.
-  ExecMetrics rows = RunDupScript(/*batch_size=*/1, /*exec_threads=*/1);
-  EXPECT_EQ(rows.exprs_deduped, 0);
-  EXPECT_EQ(rows.batches_evaluated, 0);
 }
 
-TEST(ExprCseExecutionTest, BatchedExecutionBitIdenticalToRowPath) {
-  ExecMetrics rows = RunDupScript(/*batch_size=*/1, /*exec_threads=*/1);
-  for (int batch_size : {2, 3, 256, 4096}) {
-    ExecMetrics batched = RunDupScript(batch_size, /*exec_threads=*/1);
-    EXPECT_EQ(batched.outputs, rows.outputs) << "batch " << batch_size;
-    EXPECT_EQ(batched.rows_output, rows.rows_output) << batch_size;
-    EXPECT_EQ(batched.rows_shuffled, rows.rows_shuffled) << batch_size;
-    EXPECT_EQ(batched.operator_invocations, rows.operator_invocations)
-        << batch_size;
+TEST(ExprCseExecutionTest, BatchedExecutionMatchesReference) {
+  // The deduplicated expression schedule computes what evaluating every
+  // item on its own computes (the reference evaluator runs
+  // ScalarExpr::Evaluate per item), at every morsel size.
+  ReferenceOutputs reference;
+  ExecMetrics base = RunDupScript(/*morsel_size=*/0, /*exec_threads=*/1,
+                                  &reference);
+  ExecMetrics expected;
+  expected.outputs = std::move(reference);
+  EXPECT_TRUE(SameOutputs(expected, base));
+  for (int morsel_size : {2, 3, 256}) {
+    ExecMetrics batched = RunDupScript(morsel_size, /*exec_threads=*/1);
+    EXPECT_EQ(batched.outputs, base.outputs) << "morsel " << morsel_size;
+    EXPECT_EQ(batched.rows_output, base.rows_output) << morsel_size;
+    EXPECT_EQ(batched.rows_shuffled, base.rows_shuffled) << morsel_size;
+    EXPECT_EQ(batched.operator_invocations, base.operator_invocations)
+        << morsel_size;
+    EXPECT_EQ(batched.exprs_deduped, base.exprs_deduped) << morsel_size;
   }
 }
 
 TEST(ExprCseExecutionTest, BatchCountersDeterministicAcrossThreads) {
-  ExecMetrics serial = RunDupScript(/*batch_size=*/256, /*exec_threads=*/1);
-  ExecMetrics parallel = RunDupScript(/*batch_size=*/256, /*exec_threads=*/4);
+  ExecMetrics serial = RunDupScript(/*morsel_size=*/0, /*exec_threads=*/1);
+  ExecMetrics parallel = RunDupScript(/*morsel_size=*/0, /*exec_threads=*/4);
   EXPECT_EQ(serial.batches_evaluated, parallel.batches_evaluated);
   EXPECT_EQ(serial.exprs_deduped, parallel.exprs_deduped);
   EXPECT_EQ(serial.outputs, parallel.outputs);

@@ -13,6 +13,7 @@
 #include "api/engine.h"
 #include "exec/executor.h"
 #include "exec/spool_cache.h"
+#include "testing/reference_eval.h"
 #include "workload/paper_scripts.h"
 
 namespace scx {
@@ -25,10 +26,13 @@ OptimizerConfig SmallCluster() {
   return config;
 }
 
-/// Optimizes `script` in kCse mode against the shared execution catalog.
-PhysicalNodePtr CsePlan(Engine* engine, const std::string& script) {
+/// Optimizes `script` in kCse mode against the shared execution catalog;
+/// `logical` receives the bound script when non-null.
+PhysicalNodePtr CsePlan(Engine* engine, const std::string& script,
+                        LogicalNodePtr* logical = nullptr) {
   auto compiled = engine->Compile(script);
   EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  if (logical != nullptr) *logical = compiled->bound.root;
   auto optimized = engine->Optimize(*compiled, OptimizerMode::kCse);
   EXPECT_TRUE(optimized.ok()) << optimized.status().ToString();
   return optimized->plan();
@@ -58,20 +62,33 @@ void ExpectCleanIdentity(const ExecMetrics& clean, const ExecMetrics& faulted,
 // A single machine failure at EVERY pass of the plan — which walks the
 // injection point through every operator class the plan contains (extract,
 // filter, aggregate, exchange, spool, spool-scan, join, ...) — must recover
-// to the clean run, on both the batch pipeline and the batch_size=1 row
-// path, and every injected failure must be recovered.
+// to the clean run, serially and at 4 threads with odd-sized morsels, and
+// every injected failure must be recovered. The clean run itself computes
+// the reference evaluator's outputs.
 TEST(FaultRecoveryTest, FailureAtEveryPassRecoversIdentically) {
-  for (int batch_size : {0, 1}) {
+  struct Knobs {
+    int threads, morsel_size;
+  };
+  for (Knobs k : {Knobs{1, 0}, Knobs{4, 53}}) {
     OptimizerConfig config = SmallCluster();
-    config.cluster.batch_size = batch_size;
+    config.cluster.exec_threads = k.threads;
+    config.cluster.morsel_size = k.morsel_size;
     Engine engine(MakeExecutionCatalog(5000), config);
-    PhysicalNodePtr plan = CsePlan(&engine, kScriptS1);
+    LogicalNodePtr logical;
+    PhysicalNodePtr plan = CsePlan(&engine, kScriptS1, &logical);
     ASSERT_NE(plan, nullptr);
+    const std::string knobs = "threads=" + std::to_string(k.threads) +
+                              " morsel_size=" + std::to_string(k.morsel_size);
 
     Executor clean_exec(config.cluster);
     auto clean = clean_exec.Execute(plan);
     ASSERT_TRUE(clean.ok()) << clean.status().ToString();
     ASSERT_GT(clean->operator_invocations, 0);
+    auto reference = EvaluateReference(logical);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ExecMetrics expected;
+    expected.outputs = std::move(*reference);
+    EXPECT_TRUE(SameOutputs(expected, *clean)) << knobs;
 
     int64_t injected_total = 0;
     for (int64_t pass = 1; pass <= clean->operator_invocations; ++pass) {
@@ -79,8 +96,7 @@ TEST(FaultRecoveryTest, FailureAtEveryPassRecoversIdentically) {
       cluster.fault_plan.failures = {{pass, /*machine=*/1}};
       Executor exec(cluster);
       auto faulted = exec.Execute(plan);
-      std::string label = "batch_size=" + std::to_string(batch_size) +
-                          " pass=" + std::to_string(pass);
+      std::string label = knobs + " pass=" + std::to_string(pass);
       ASSERT_TRUE(faulted.ok()) << label << ": "
                                 << faulted.status().ToString();
       ExpectCleanIdentity(*clean, *faulted, label);
@@ -91,7 +107,7 @@ TEST(FaultRecoveryTest, FailureAtEveryPassRecoversIdentically) {
     }
     // Output/Sequence passes carry no recoverable data, but most passes do:
     // the sweep must actually have injected failures.
-    EXPECT_GT(injected_total, 0) << "batch_size=" << batch_size;
+    EXPECT_GT(injected_total, 0) << knobs;
   }
 }
 
@@ -170,7 +186,7 @@ TEST(FaultRecoveryTest, SpoolAssistedRecoveryBoundedByPureRecompute) {
 }
 
 // Randomized fault plans (Bernoulli kills + stragglers) stay bit-identical
-// to the clean baseline at hostile thread/batch/morsel knobs, and the
+// to the clean baseline at hostile thread/morsel knobs, and the
 // faulted run itself is deterministic: same plan, same counters, fault
 // counters included.
 TEST(FaultRecoveryTest, RandomFaultsBitIdenticalAcrossKnobs) {
@@ -193,16 +209,15 @@ TEST(FaultRecoveryTest, RandomFaultsBitIdenticalAcrossKnobs) {
   ExecMetrics reference;
   bool have_reference = false;
   for (int threads : {1, 4}) {
-    for (int batch_size : {0, 61}) {
+    for (int morsel_size : {0, 53}) {
       ClusterConfig cluster = base;
       cluster.exec_threads = threads;
-      cluster.batch_size = batch_size;
-      cluster.morsel_size = threads == 4 ? 53 : 0;
+      cluster.morsel_size = morsel_size;
       cluster.fault_plan = fp;
       Executor exec(cluster);
       auto faulted = exec.Execute(plan);
       std::string label = "threads=" + std::to_string(threads) +
-                          " batch_size=" + std::to_string(batch_size);
+                          " morsel_size=" + std::to_string(morsel_size);
       ASSERT_TRUE(faulted.ok()) << label;
       ExpectCleanIdentity(*clean, *faulted, label);
       EXPECT_EQ(faulted->partitions_recovered,

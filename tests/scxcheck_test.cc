@@ -1,8 +1,8 @@
 // scxcheck tier-1 smoke: the generative differential-testing harness runs
-// >= 200 seeded random scripts through all five oracles (conventional ==
-// cse outputs; cse cost <= conventional; serial == parallel optimize +
-// execute; plan validity + JSON round-trip; columnar-batch == batch_size=1
-// row execution), plus targeted generator edge cases and replay of the
+// >= 200 seeded random scripts through all the oracles (conventional and
+// cse plans both execute to the reference evaluator's outputs; cse cost <=
+// conventional; serial == parallel optimize + execute; plan validity +
+// JSON round-trip), plus targeted generator edge cases and replay of the
 // checked-in fuzz corpus. Every failure message
 // carries the script seed, so a red run reproduces with
 //   scx_fuzz --iters 1 ... (or GenerateScript(seed) directly).

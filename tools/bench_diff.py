@@ -4,7 +4,6 @@
 Usage:
     tools/bench_diff.py BASELINE.json CURRENT.json [--threshold 0.10]
     tools/bench_diff.py --fast-vs-traced BENCH_opt_cache.json [--threshold 0.10]
-    tools/bench_diff.py --batch-vs-row BENCH_exec.json [--threshold 0.10]
     tools/bench_diff.py --morsel-vs-partition BENCH_exec.json [--threshold 0.10]
     tools/bench_diff.py --batched-vs-sequential BENCH_multiquery.json
     tools/bench_diff.py --faulty-vs-clean BENCH_fault.json [--threshold 0.02]
@@ -21,16 +20,12 @@ untraced (fast) optimizer path must not round-process slower than the traced
 path on any workload, beyond ``--threshold`` (the workloads run sub-second on
 small scripts, so a noise margin is required for a meaningful gate).
 
-``--batch-vs-row`` gates within a single BENCH_exec.json: per script, the
-batched serial pipeline must not run slower than the batch_size=1 row
-pipeline beyond ``--threshold``, and the two must have been bit-identical
-(``batch_identical``) — the end-to-end payoff gate of the columnar executor.
-
 ``--morsel-vs-partition`` gates within a single BENCH_exec.json: per script,
 the morsel-grained run must not run slower than the one-morsel-per-partition
 baseline beyond ``--threshold``, and the two must have been bit-identical
 (``morsel_identical``) — the determinism-plus-overhead gate of the morsel
-scheduler.
+scheduler. bench/exec_throughput times the two variants interleaved and
+reports the median of its repetitions, so the gate compares medians.
 
 ``--batched-vs-sequential`` gates within a single BENCH_multiquery.json: per
 grid cell, the batched submission must never move more bytes
@@ -127,49 +122,6 @@ def fast_vs_traced(path, threshold):
         return 1
     print(f"\nfast >= traced (within {threshold:.0%}) on all "
           f"{len(scripts)} workloads")
-    return 0
-
-
-def batch_vs_row(path, threshold):
-    """Gate: the batched pipeline must keep up with the row path per script."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as err:
-        sys.exit(f"bench_diff: cannot read {path}: {err}")
-    scripts = doc.get("scripts")
-    if not isinstance(scripts, list) or not scripts:
-        sys.exit(f"bench_diff: {path} has no 'scripts' array "
-                 "(expected a BENCH_exec.json)")
-
-    failures = []
-    print(f"{'script':<10} {'row r/s':>12} {'batch r/s':>12} {'delta':>8}")
-    for entry in scripts:
-        name = entry.get("name", "?")
-        row = entry.get("row", {}).get("rows_per_sec")
-        batch = entry.get("serial", {}).get("rows_per_sec")
-        if not row or not batch:
-            sys.exit(f"bench_diff: script {name} lacks row/serial "
-                     "rows_per_sec (rerun bench/exec_throughput)")
-        delta = (batch - row) / row
-        marker = ""
-        if delta < -threshold:
-            failures.append((name, f"{delta:+.1%} slower than row path"))
-            marker = "  << REGRESSION"
-        if not entry.get("batch_identical", False):
-            failures.append((name, "batched output diverged from row path"))
-            marker += "  << DIVERGED"
-        print(f"{name:<10} {row:>12.1f} {batch:>12.1f} {delta:>+7.1%}"
-              f"{marker}")
-
-    if failures:
-        print(f"\nbatched pipeline failed the row-path gate on "
-              f"{len(failures)} count(s):")
-        for name, why in failures:
-            print(f"  {name}: {why}")
-        return 1
-    print(f"\nbatched >= row path (within {threshold:.0%}) and bit-identical "
-          f"on all {len(scripts)} scripts")
     return 0
 
 
@@ -349,9 +301,6 @@ def main():
     parser.add_argument("--fast-vs-traced", action="store_true",
                         help="gate fast vs traced phase-2 rates within one "
                              "BENCH_opt_cache.json")
-    parser.add_argument("--batch-vs-row", action="store_true",
-                        help="gate batched vs row-path script rates within "
-                             "one BENCH_exec.json")
     parser.add_argument("--morsel-vs-partition", action="store_true",
                         help="gate morsel vs whole-partition script rates "
                              "within one BENCH_exec.json")
@@ -365,19 +314,17 @@ def main():
                              "BENCH_fault.json")
     args = parser.parse_args()
 
-    gates = [args.fast_vs_traced, args.batch_vs_row, args.morsel_vs_partition,
+    gates = [args.fast_vs_traced, args.morsel_vs_partition,
              args.batched_vs_sequential, args.faulty_vs_clean]
     if sum(gates) > 1:
-        parser.error("--fast-vs-traced, --batch-vs-row, "
-                     "--morsel-vs-partition, --batched-vs-sequential and "
-                     "--faulty-vs-clean are exclusive")
+        parser.error("--fast-vs-traced, --morsel-vs-partition, "
+                     "--batched-vs-sequential and --faulty-vs-clean are "
+                     "exclusive")
     if any(gates):
         if args.current is not None:
             parser.error("single-file gates take exactly one JSON file")
         if args.fast_vs_traced:
             return fast_vs_traced(args.baseline, args.threshold)
-        if args.batch_vs_row:
-            return batch_vs_row(args.baseline, args.threshold)
         if args.batched_vs_sequential:
             return batched_vs_sequential(args.baseline)
         if args.faulty_vs_clean:

@@ -5,22 +5,23 @@
 // Usage:
 //   scx_cli --catalog CATFILE --script SCRIPTFILE
 //           [--mode conv|naive|cse] [--machines N] [--budget SECONDS]
-//           [--threads N] [--batch N] [--spool-cache BYTES]
+//           [--threads N] [--morsel N] [--spool-cache BYTES]
 //           [--fault-seed N] [--fault-prob P] [--fault-max N]
 //           [--straggler-prob P] [--straggler-factor F] [--no-recovery-spools]
 //           [--compare] [--execute] [--quiet]
 //
+// --machines sets the simulated cluster size (a positive integer).
 // --threads sets the executor's worker threads (cluster.exec_threads; the
-// optimizer always runs its rounds serially). --batch sets the executor's
-// rows-per-batch (0 = default / SCX_BATCH_SIZE env; 1 = the exact legacy
-// row-at-a-time path). --spool-cache bounds the
-// bytes held for spooled intermediates (0 = default / SCX_SPOOL_CACHE_BYTES
-// env / 256 MiB; negative = unlimited); evictions surface as
-// spool_bytes_evicted. The --fault-*/--straggler-* flags arm a FaultPlan
-// (hostile-cluster simulation, docs/architecture.md §17): seeded machine
-// failures are injected at operator-pass granularity and recovered from
-// surviving spools or by recomputation — outputs stay bit-identical to the
-// clean run; --no-recovery-spools forces pure recomputation. With --json
+// optimizer always runs its rounds serially). --morsel sets the live rows
+// per intra-partition morsel (0 = default / SCX_MORSEL_SIZE env); results
+// are identical at every thread count and morsel size. --spool-cache
+// bounds the bytes held for spooled intermediates (0 = default /
+// SCX_SPOOL_CACHE_BYTES env / 256 MiB; negative = unlimited); evictions
+// surface as spool_bytes_evicted. The --fault-*/--straggler-* flags arm a
+// FaultPlan (hostile-cluster simulation, docs/architecture.md §17): seeded
+// machine failures are injected at operator-pass granularity and recovered
+// from surviving spools or by recomputation — outputs stay bit-identical to
+// the clean run; --no-recovery-spools forces pure recomputation. With --json
 // --execute the output gains an "execution" object carrying every
 // ExecMetrics counter, including the fault family (machine_failures_
 // injected, partitions_recovered, rows_recomputed, recovery_spool_hits,
@@ -32,7 +33,10 @@
 // Example:
 //   file test.log rows=2000000 A:40 B:400 C:40 D:10000
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -43,6 +47,18 @@
 
 namespace scx {
 namespace {
+
+/// Parses a whole decimal integer >= 1 ("3x", "abc", "0" and "-3" fail).
+bool ParsePositive(const char* text, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno != 0 || v < 1 || v > INT_MAX) {
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
+}
 
 Result<std::string> ReadFileToString(const std::string& path) {
   std::ifstream in(path);
@@ -111,23 +127,17 @@ int Main(int argc, char** argv) {
     } else if (arg == "--mode") {
       mode_name = next();
     } else if (arg == "--machines") {
-      config.cluster.machines = std::atoi(next());
+      if (!ParsePositive(next(), &config.cluster.machines)) {
+        std::fprintf(stderr, "scx: --machines needs a positive integer\n");
+        return 2;
+      }
     } else if (arg == "--budget") {
       config.budget_seconds = std::atof(next());
     } else if (arg == "--threads") {
-      int n = std::atoi(next());
-      if (n < 1) {
+      if (!ParsePositive(next(), &config.cluster.exec_threads)) {
         std::fprintf(stderr, "scx: --threads needs a positive integer\n");
         return 2;
       }
-      config.cluster.exec_threads = n;
-    } else if (arg == "--batch") {
-      int n = std::atoi(next());
-      if (n < 0) {
-        std::fprintf(stderr, "scx: --batch needs a non-negative integer\n");
-        return 2;
-      }
-      config.cluster.batch_size = n;
     } else if (arg == "--morsel") {
       int n = std::atoi(next());
       if (n < 0) {
@@ -164,11 +174,12 @@ int Main(int argc, char** argv) {
       std::printf(
           "usage: scx_cli --catalog FILE --script FILE [--mode conv|naive|"
           "cse]\n              [--machines N] [--budget S] [--threads N] "
-          "[--batch N] [--morsel N]\n              [--spool-cache BYTES] "
+          "[--morsel N]\n              [--spool-cache BYTES] "
           "[--fault-seed N] [--fault-prob P]\n              [--fault-max N] "
           "[--straggler-prob P] [--straggler-factor F]\n              "
           "[--no-recovery-spools] [--compare] [--execute] [--quiet] "
-          "[--json]\n\n  --threads N sets the executor's worker threads "
+          "[--json]\n\n  --machines N sets the simulated cluster size "
+          "(N >= 1).\n  --threads N sets the executor's worker threads "
           "(cluster.exec_threads) only.\n");
       return 0;
     } else {
@@ -262,10 +273,6 @@ int Main(int argc, char** argv) {
     std::printf("  batches        : %lld evaluated, %lld exprs deduped\n",
                 static_cast<long long>(metrics->batches_evaluated),
                 static_cast<long long>(metrics->exprs_deduped));
-    std::printf("  row bridges    : %lld rows converted, %lld pipeline "
-                "breaks\n",
-                static_cast<long long>(metrics->rows_converted),
-                static_cast<long long>(metrics->batch_pipeline_breaks));
     std::printf("  morsels        : %lld evaluated, %lld beyond "
                 "one-per-partition\n",
                 static_cast<long long>(metrics->morsels_evaluated),

@@ -1,11 +1,11 @@
 // scxcheck driver: generative differential testing of the CSE optimizer.
 //
 // Generates seeded random multi-output DAG scripts with deliberate
-// structural sharing and checks each against five oracles (conventional ==
-// cse executed outputs; cse cost <= conventional; serial == parallel
-// execution; plan validity + JSON round-trip; columnar-batch ==
-// batch_size=1 row execution). On failure the script is greedily minimized
-// and the repro written to a corpus directory.
+// structural sharing and checks each against the oracles (conventional and
+// cse plans both execute to the reference evaluator's outputs; cse cost <=
+// conventional; serial == parallel and morsel-size-invariant execution;
+// plan validity + JSON round-trip). On failure the script is greedily
+// minimized and the repro written to a corpus directory.
 //
 // Usage:
 //   scx_fuzz [--seed N] [--iters N] [--threads N] [--machines N]
@@ -19,11 +19,11 @@
 // arithmetic, stressing expression-CSE and the batch kernels) | pipeline
 // (every consumer is a deep filter->compute->...->aggregate chain over the
 // shared node, stressing the batch pipeline's fused cross-stage schedules
-// and shared spool reads through all five oracles) | multiquery (each
+// and shared spool reads through all the oracles) | multiquery (each
 // iteration generates a BATCH of scripts with shared library modules and
 // checks the batch-vs-sequential oracle: merged submission is bit-identical
 // per script to running each alone, moves no more bytes, and is invariant
-// to thread/batch/morsel knobs and to cross-query cache warmth) | hostile
+// to thread/morsel knobs and to cross-query cache warmth) | hostile
 // (hostile-cluster simulation: power-law key skew piles rows onto a few
 // machines, stragglers stretch the simulated makespan, and a per-seed
 // FaultPlan kills machines mid-run at operator-pass granularity; the fault
