@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <compare>
 #include <sstream>
 #include <utility>
 
@@ -11,16 +12,52 @@
 
 namespace scx {
 
+namespace {
+
+// A total order for comparing outputs. Value's own <=> ranks NaN equal to
+// every double (so a sort over it has no strict weak order) and its == never
+// matches a NaN; here NaN sorts after every other double and all NaNs are
+// equal. ORDER BY and the key tables keep Value's semantics.
+std::strong_ordering CanonicalCompare(const Value& a, const Value& b) {
+  std::strong_ordering order = a <=> b;
+  // <=> says "less" or "greater" only for two non-NaN values.
+  if (order != 0 || a.type() != DataType::kDouble ||
+      b.type() != DataType::kDouble) {
+    return order;
+  }
+  return std::isnan(a.as_double()) <=> std::isnan(b.as_double());
+}
+
+std::strong_ordering CanonicalCompare(const Row& a, const Row& b) {
+  return std::lexicographical_compare_three_way(
+      a.begin(), a.end(), b.begin(), b.end(),
+      [](const Value& x, const Value& y) { return CanonicalCompare(x, y); });
+}
+
+// A closure type rather than a function, so std::sort inlines it.
+constexpr auto kCanonicalLess = [](const Row& a, const Row& b) {
+  return CanonicalCompare(a, b) < 0;
+};
+
+bool SameCanonicalRows(const std::vector<Row>& a, const std::vector<Row>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const Row& x, const Row& y) {
+                      return CanonicalCompare(x, y) == 0;
+                    });
+}
+
+}  // namespace
+
 std::vector<Row> CanonicalRows(const std::vector<Row>& rows) {
   std::vector<Row> out;
   out.reserve(rows.size());
   out.insert(out.end(), rows.begin(), rows.end());
-  std::sort(out.begin(), out.end());
+  std::sort(out.begin(), out.end(), kCanonicalLess);
   return out;
 }
 
 std::vector<Row> CanonicalRows(std::vector<Row>&& rows) {
-  std::sort(rows.begin(), rows.end());
+  std::sort(rows.begin(), rows.end(), kCanonicalLess);
   return std::move(rows);
 }
 
@@ -34,7 +71,13 @@ std::map<std::string, std::vector<Row>> CanonicalOutputs(
 }
 
 bool SameOutputs(const ExecMetrics& a, const ExecMetrics& b) {
-  return CanonicalOutputs(a) == CanonicalOutputs(b);
+  auto ca = CanonicalOutputs(a);
+  auto cb = CanonicalOutputs(b);
+  return std::equal(ca.begin(), ca.end(), cb.begin(), cb.end(),
+                    [](const auto& x, const auto& y) {
+                      return x.first == y.first &&
+                             SameCanonicalRows(x.second, y.second);
+                    });
 }
 
 std::string ExecMetricsToJson(const ExecMetrics& m) {

@@ -99,14 +99,16 @@ struct ExecMetrics {
 std::string ExecMetricsToJson(const ExecMetrics& m);
 
 /// Canonical (sorted) form of an output row set, for comparing the results
-/// of two plans.
+/// of two plans. The sort is a total order: NaN sorts after every other
+/// double and all NaNs compare equal.
 std::vector<Row> CanonicalRows(const std::vector<Row>& rows);
 std::vector<Row> CanonicalRows(std::vector<Row>&& rows);
 
 /// All outputs of one run in canonical form (each path's rows sorted).
 std::map<std::string, std::vector<Row>> CanonicalOutputs(const ExecMetrics& m);
 
-/// True iff both executions produced identical rows for identical paths.
+/// True iff both executions produced identical rows for identical paths,
+/// under the canonical order's equality (so a NaN matches a NaN).
 /// Each side is canonicalized exactly once.
 bool SameOutputs(const ExecMetrics& a, const ExecMetrics& b);
 

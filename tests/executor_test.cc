@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -270,6 +272,33 @@ TEST(ExecutorTest, SameOutputsDetectsDifferences) {
   EXPECT_TRUE(SameOutputs(a, b));
   b.outputs["y"] = {};
   EXPECT_FALSE(SameOutputs(a, b));
+}
+
+TEST(ExecutorTest, SameOutputsOrdersAndMatchesNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ExecMetrics a, b;
+  a.outputs["x"] = {{Value::Real(nan), Value::Int(1)},
+                    {Value::Real(2.0), Value::Int(2)},
+                    {Value::Real(nan), Value::Int(0)},
+                    {Value::Real(-1.0), Value::Int(3)}};
+  b.outputs["x"] = {{Value::Real(-1.0), Value::Int(3)},
+                    {Value::Real(nan), Value::Int(0)},
+                    {Value::Real(2.0), Value::Int(2)},
+                    {Value::Real(nan), Value::Int(1)}};
+  EXPECT_TRUE(SameOutputs(a, b));
+  // NaN sorts after every other double.
+  std::vector<Row> sorted = CanonicalRows(a.outputs["x"]);
+  EXPECT_EQ(sorted[0][0].as_double(), -1.0);
+  EXPECT_EQ(sorted[1][0].as_double(), 2.0);
+  EXPECT_TRUE(std::isnan(sorted[2][0].as_double()));
+  EXPECT_EQ(sorted[2][1].as_int(), 0);
+  EXPECT_EQ(sorted[3][1].as_int(), 1);
+
+  ExecMetrics nan_row, zero_row;
+  nan_row.outputs["x"] = {{Value::Real(nan)}};
+  zero_row.outputs["x"] = {{Value::Real(0.0)}};
+  EXPECT_FALSE(SameOutputs(nan_row, zero_row));
+  EXPECT_FALSE(SameOutputs(zero_row, nan_row));
 }
 
 // --- Aggregate and join keys: plans vs the reference evaluator.

@@ -24,17 +24,9 @@
 namespace scx {
 namespace {
 
-std::string TestdataDir() {
-  std::string prefix;
-  for (int up = 0; up < 6; ++up) {
-    std::ifstream probe(prefix + "testdata/s1.scope");
-    if (probe) return prefix + "testdata";
-    prefix += "../";
-  }
-  return "testdata";
+std::string GoldenPath() {
+  return SCX_TESTDATA_DIR "/golden/exec_counters.txt";
 }
-
-std::string GoldenPath() { return TestdataDir() + "/golden/exec_counters.txt"; }
 
 /// Every knob that moves a counter is pinned, so the environment
 /// (SCX_NUM_THREADS, SCX_MORSEL_SIZE, SCX_SPOOL_CACHE_BYTES) cannot leak in.

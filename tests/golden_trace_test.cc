@@ -19,18 +19,6 @@
 namespace scx {
 namespace {
 
-// Locates the repo's testdata/ directory from the test's working directory
-// (ctest runs tests from somewhere inside the build tree).
-std::string TestdataDir() {
-  std::string prefix;
-  for (int up = 0; up < 6; ++up) {
-    std::ifstream probe(prefix + "testdata/s1.scope");
-    if (probe) return prefix + "testdata";
-    prefix += "../";
-  }
-  return "testdata";
-}
-
 // Serializes everything the determinism contract covers: final cost, plan,
 // round counts, and the full round trace. Floats are written as hex floats
 // (%a) so the comparison is bit-exact.
@@ -70,7 +58,8 @@ void CheckAgainstGolden(const char* name, const Catalog& catalog,
   ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
   std::string got = Serialize(*optimized);
 
-  std::string path = TestdataDir() + "/golden/" + name + ".trace.txt";
+  std::string path =
+      std::string(SCX_TESTDATA_DIR "/golden/") + name + ".trace.txt";
   if (std::getenv("SCX_WRITE_GOLDEN") != nullptr) {
     std::ofstream out(path);
     ASSERT_TRUE(out.good()) << "cannot write " << path;

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "api/engine.h"
+#include "workload/large_scripts.h"
 #include "workload/paper_scripts.h"
 
 namespace scx {
@@ -333,12 +334,13 @@ struct CseOutcome {
   OptCacheCounters cache;
 };
 
-CseOutcome OptimizeCse(const char* script, bool trace_rounds = true) {
+CseOutcome OptimizeCse(const std::string& script, bool trace_rounds = true,
+                       const Catalog& catalog = MakePaperCatalog()) {
   OptimizerConfig config;
   config.trace_rounds = trace_rounds;
   // Determinism is only promised while the budget never expires; disable it.
   config.budget_seconds = 1e9;
-  Engine engine(MakePaperCatalog(), config);
+  Engine engine(catalog, config);
   auto compiled = engine.Compile(script);
   EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
   auto optimized = engine.Optimize(*compiled, OptimizerMode::kCse);
@@ -354,15 +356,28 @@ CseOutcome OptimizeCse(const char* script, bool trace_rounds = true) {
 TEST(OptimizerTest, RoundPruningNeverChangesWinner) {
   // trace off enables class-local branch-and-bound across rounds; the
   // chosen plan and cost must still match the traced (unpruned) run bit
-  // for bit.
-  for (const char* script : {kScriptS1, kScriptS3, kScriptS4}) {
-    CseOutcome traced = OptimizeCse(script, true);
-    CseOutcome fast = OptimizeCse(script, false);
-    EXPECT_EQ(traced.cost, fast.cost);
-    EXPECT_EQ(traced.plan, fast.plan);
-    EXPECT_EQ(traced.rounds_executed, fast.rounds_executed);
+  // for bit, on every paper script and both large scripts.
+  struct Case {
+    const char* name;
+    Catalog catalog;
+    std::string script;
+  };
+  GeneratedScript ls1 = GenerateLargeScript(Ls1Spec());
+  GeneratedScript ls2 = GenerateLargeScript(Ls2Spec());
+  const Case cases[] = {{"S1", MakePaperCatalog(), kScriptS1},
+                        {"S2", MakePaperCatalog(), kScriptS2},
+                        {"S3", MakePaperCatalog(), kScriptS3},
+                        {"S4", MakePaperCatalog(), kScriptS4},
+                        {"LS1", ls1.catalog, ls1.text},
+                        {"LS2", ls2.catalog, ls2.text}};
+  for (const Case& c : cases) {
+    CseOutcome traced = OptimizeCse(c.script, true, c.catalog);
+    CseOutcome fast = OptimizeCse(c.script, false, c.catalog);
+    EXPECT_EQ(traced.cost, fast.cost) << c.name;
+    EXPECT_EQ(traced.plan, fast.plan) << c.name;
+    EXPECT_EQ(traced.rounds_executed, fast.rounds_executed) << c.name;
     // Untraced runs do prune rounds on these scripts.
-    EXPECT_GT(fast.cache.pruned_rounds, 0);
+    EXPECT_GT(fast.cache.pruned_rounds, 0) << c.name;
   }
 }
 

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
 
 #include "api/engine.h"
@@ -112,20 +111,9 @@ TEST(ScxCheckEdgeCases, GeneratorIsDeterministic) {
 
 // --- Checked-in corpus regression ----------------------------------------
 
-// Locates the repo's testdata/ directory from the test's working directory
-// (tests run from anywhere inside the build tree).
-std::string TestdataDir() {
-  std::string prefix;
-  for (int depth = 0; depth < 6; ++depth, prefix += "../") {
-    std::ifstream probe(prefix + "testdata/s1.scope");
-    if (probe) return prefix + "testdata";
-  }
-  return "testdata";
-}
-
 TEST(ScxCheckCorpus, CheckedInReprosPass) {
   std::vector<std::string> files =
-      ListCorpusFiles(TestdataDir() + "/fuzz_corpus");
+      ListCorpusFiles(SCX_TESTDATA_DIR "/fuzz_corpus");
   ASSERT_FALSE(files.empty())
       << "no corpus files under testdata/fuzz_corpus";
   for (const std::string& path : files) {
