@@ -22,8 +22,8 @@ int DefaultNumThreads();
 ///
 /// Run is not reentrant — a job must never call Run on the same pool (the
 /// executor guarantees this by structuring each operator as a sequence of
-/// flat job lists — per-partition passes and (partition, morsel) passes —
-/// with all fan-out decided before the Run call, never from inside a job).
+/// per-partition passes, with all fan-out decided before the Run call, never
+/// from inside a job).
 class WorkerPool {
  public:
   /// `threads` is the total parallelism including the calling thread;

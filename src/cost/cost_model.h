@@ -23,10 +23,10 @@ struct FaultEvent {
 
 /// Seeded adversarial-cluster description carried by ClusterConfig. All
 /// decisions are pure functions of (seed, pass, machine), so a FaultPlan is
-/// bit-reproducible across thread counts, batch sizes and morsel sizes. The
-/// executor's recovery contract (docs/architecture.md §17): for any FaultPlan
-/// the outputs and every pre-existing ExecMetrics counter are bit-identical
-/// to the clean run — faults only add to the fault/recovery counters.
+/// bit-reproducible across thread counts. The executor's recovery contract
+/// (docs/architecture.md §17): for any FaultPlan the outputs and every
+/// pre-existing ExecMetrics counter are bit-identical to the clean run —
+/// faults only add to the fault/recovery counters.
 /// Ignored by the cost model and the optimizer.
 struct FaultPlan {
   /// Seed for the probabilistic failure / straggler draws. The plan is
@@ -87,12 +87,6 @@ struct ClusterConfig {
   /// 1 = the exact serial path. Results are bit-identical for every value
   /// (see docs/architecture.md §12). Ignored by the cost model.
   int exec_threads = 0;
-  /// Live rows per morsel when one partition's work is split across worker
-  /// threads. 0 = DefaultMorselSize() (SCX_MORSEL_SIZE
-  /// or 16384); values at or above the partition size degenerate to one
-  /// whole-partition job. Results are bit-identical for every value (see
-  /// docs/architecture.md §15). Ignored by the cost model.
-  int morsel_size = 0;
   /// Byte budget for spooled intermediate results — bounds both the run-local
   /// spool cache and the engine's cross-query spool cache. 0 =
   /// DefaultSpoolCacheBytes() (SCX_SPOOL_CACHE_BYTES or 256 MiB); negative =

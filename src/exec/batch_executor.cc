@@ -2,14 +2,13 @@
 // immutable shared columns plus selection vectors — end to end. Rows exist
 // only at Output, the sink.
 //
-// Intra-partition parallelism: the heavy scans (chain pipelines, key
-// hashing, aggregate/join table builds, probe scans, exchange binning) are
-// split into morsel_size_-row morsels scheduled as one flat job list over
-// all partitions (Executor::RunMorsels), each job writing its own
-// (partition, morsel) slot, followed by a fixed morsel-order merge. The
-// merge order — never the thread schedule — decides every output and every
-// counter, so results are bit-identical at any thread count and any morsel
-// size; docs/architecture.md §15 gives the per-operator argument.
+// Parallelism: each operator is a short sequence of partition-parallel
+// passes (Executor::RunPartitions), one job per partition, each job writing
+// only its own partition's slot. A new pass starts only where the operator
+// needs a barrier: an exchange's destinations wait for every source's bins.
+// Merges run in partition order, so every output and every counter is
+// bit-identical at any thread count; docs/architecture.md §15 gives the
+// per-operator argument.
 
 #include <algorithm>
 #include <iterator>
@@ -40,6 +39,14 @@ int64_t LiveBatches(const BatchData& d) {
   for (const BatchPartition& p : d.partitions) {
     n += NumBatches(p.LiveRows(), Executor::kBatchRows);
   }
+  return n;
+}
+
+/// Non-empty partitions of `d`: the jobs of one partition-parallel scan
+/// over it, as ExecMetrics::morsels_evaluated counts them.
+int64_t ScanJobs(const BatchData& d) {
+  int64_t n = 0;
+  for (const BatchPartition& p : d.partitions) n += p.LiveRows() > 0;
   return n;
 }
 
@@ -228,48 +235,27 @@ void UpdateAggColumnar(const AggregateDesc& a, bool global,
   }
 }
 
-/// True when any stage actually computes a column. Decides — uniformly for
-/// every morsel of a schedule — whether sub-morsel reshaped results come
-/// back dense (they compacted at the first evaluating stage) or as shared
-/// input columns plus a selection.
-bool ScheduleEvals(const PipelineSchedule& sched) {
+/// True when some stage filters or evaluates. A pure remap (every plain
+/// SELECT column list) does no per-row work: it only shares columns.
+bool ScheduleDoesRowWork(const PipelineSchedule& sched) {
   for (const PipelineStage& st : sched.stages) {
-    if (st.has_eval) return true;
+    if (st.is_filter || st.has_eval) return true;
   }
   return false;
 }
 
-/// True when any stage can narrow the selection.
-bool ScheduleFilters(const PipelineSchedule& sched) {
-  for (const PipelineStage& st : sched.stages) {
-    if (st.is_filter) return true;
-  }
-  return false;
-}
-
-/// Runs live rows [mbegin, mend) of one partition through a fused chain
-/// schedule. Filter stages narrow the selection over the current physical
-/// row space without touching a column; a compute stage that actually
-/// evaluates (has_eval) first compacts the live rows — gathering every
-/// still-needed column through the selection, or slicing the morsel's dense
-/// range — so expressions run densely over exactly the rows that passed
-/// the filters (never on filtered-out rows, which could abort on type
-/// errors a row-at-a-time evaluation never sees).
-///
-/// `stage_live[si]` accumulates the live rows entering stage si; the caller
-/// sums them across a partition's morsels before converting to batch counts,
-/// which keeps batches_evaluated identical at every morsel size. A morsel
-/// covering the whole partition returns the exact serial shape; a proper
-/// sub-range is normalized for the fixed morsel-order merge — dense columns
-/// when the schedule evaluates, a selection over the parent's physical space
-/// otherwise. Only the representation can differ from serial; the live-cell
-/// sequence never does.
-BatchPartition RunChainMorsel(const PipelineSchedule& sched,
-                              const std::vector<int>& col_pos,
-                              const BatchPartition& in, size_t mbegin,
-                              size_t mend, std::vector<int64_t>* stage_live) {
-  const size_t live_total = in.LiveRows();
-  const bool whole = mbegin == 0 && mend == live_total;
+/// Runs one partition through a fused chain schedule. Filter stages narrow
+/// the selection over the physical row space without touching a column; a
+/// compute stage that actually evaluates (has_eval) first compacts the live
+/// rows, gathering every still-needed column through the selection, so
+/// expressions run densely over exactly the rows that passed the filters
+/// (never on filtered-out rows, which could abort on type errors a
+/// row-at-a-time evaluation never sees). `stage_live[si]` receives the live
+/// rows entering stage si.
+BatchPartition RunChain(const PipelineSchedule& sched,
+                        const std::vector<int>& col_pos,
+                        const BatchPartition& in,
+                        std::vector<int64_t>* stage_live) {
   const size_t nsteps = sched.steps.size();
   std::vector<ColumnPtr> cols(nsteps);
   for (size_t s = 0; s < nsteps; ++s) {
@@ -277,32 +263,19 @@ BatchPartition RunChainMorsel(const PipelineSchedule& sched,
       cols[s] = in.columns[static_cast<size_t>(col_pos[s])];
     }
   }
-  // The morsel's live range over the current row space: a slice of the
-  // parent selection when filtered, the dense range [base, limit) otherwise.
-  // Compaction (gather or slice) rebases to a morsel-dense space where
-  // base == 0 and limit is the live count.
-  size_t base = 0;
-  size_t limit = in.rows;
-  SelectionVector sel;
+  size_t rows = in.rows;
   bool filtered = in.filtered;
-  if (filtered) {
-    sel.assign(in.sel.begin() + static_cast<ptrdiff_t>(mbegin),
-               in.sel.begin() + static_cast<ptrdiff_t>(mend));
-  } else {
-    base = mbegin;
-    limit = mend;
-  }
+  SelectionVector sel;
+  if (filtered) sel = in.sel;
   for (size_t si = 0; si < sched.stages.size(); ++si) {
     const PipelineStage& stage = sched.stages[si];
-    (*stage_live)[si] +=
-        static_cast<int64_t>(filtered ? sel.size() : limit - base);
+    (*stage_live)[si] = static_cast<int64_t>(filtered ? sel.size() : rows);
     if (stage.is_filter) {
       for (const PredStep& ps : stage.preds) {
         SelectByPredicate(*cols[static_cast<size_t>(ps.lhs)],
                           ps.rhs >= 0 ? cols[static_cast<size_t>(ps.rhs)].get()
                                       : nullptr,
-                          ps.literal, ps.op, limit, /*first=*/!filtered, &sel,
-                          base);
+                          ps.literal, ps.op, rows, /*first=*/!filtered, &sel);
         filtered = true;
         // Later predicates of this stage select from an empty set; the row
         // path never evaluates them on any row either.
@@ -310,34 +283,18 @@ BatchPartition RunChainMorsel(const PipelineSchedule& sched,
       }
       continue;
     }
-    if (stage.has_eval) {
-      if (filtered) {
-        for (size_t s = 0; s < nsteps; ++s) {
-          if (cols[s] == nullptr) continue;
-          if (sched.last_use[s] < static_cast<int>(si)) {
-            cols[s].reset();  // dead beyond this point; stop copying it
-            continue;
-          }
-          cols[s] = MakeColumn(GatherColumn(*cols[s], sel));
+    if (stage.has_eval && filtered) {
+      for (size_t s = 0; s < nsteps; ++s) {
+        if (cols[s] == nullptr) continue;
+        if (sched.last_use[s] < static_cast<int>(si)) {
+          cols[s].reset();  // dead beyond this point; stop copying it
+          continue;
         }
-        base = 0;
-        limit = sel.size();
-        sel.clear();
-        filtered = false;
-      } else if (base > 0 || limit < in.rows) {
-        // Unfiltered sub-range: slice the still-needed columns so the
-        // expressions below run only over this morsel's rows.
-        for (size_t s = 0; s < nsteps; ++s) {
-          if (cols[s] == nullptr) continue;
-          if (sched.last_use[s] < static_cast<int>(si)) {
-            cols[s].reset();
-            continue;
-          }
-          cols[s] = MakeColumn(SliceColumn(*cols[s], base, limit));
-        }
-        limit -= base;
-        base = 0;
+        cols[s] = MakeColumn(GatherColumn(*cols[s], sel));
       }
+      rows = sel.size();
+      sel.clear();
+      filtered = false;
     }
     for (int e : stage.eval_steps) {
       const ExprStep& step = sched.steps[static_cast<size_t>(e)];
@@ -346,12 +303,12 @@ BatchPartition RunChainMorsel(const PipelineSchedule& sched,
           break;  // bound from the chain input above
         case ScalarExpr::Kind::kLiteral:
           cols[static_cast<size_t>(e)] =
-              MakeColumn(SplatColumn(step.literal, limit));
+              MakeColumn(SplatColumn(step.literal, rows));
           break;
         case ScalarExpr::Kind::kBinary: {
           auto col = std::make_shared<ColumnVector>();
           EvalBinaryColumns(step.op, *cols[static_cast<size_t>(step.lhs)],
-                            *cols[static_cast<size_t>(step.rhs)], limit,
+                            *cols[static_cast<size_t>(step.rhs)], rows,
                             col.get());
           cols[static_cast<size_t>(e)] = std::move(col);
           break;
@@ -360,60 +317,39 @@ BatchPartition RunChainMorsel(const PipelineSchedule& sched,
     }
   }
   BatchPartition out;
-  if (whole) {
-    // Exactly the serial result: share columns, just narrow the selection.
-    out.rows = limit;
-    out.sel = std::move(sel);
-    out.filtered = filtered;
-    if (sched.reshaped) {
-      out.columns.reserve(sched.output_steps.size());
-      for (int s : sched.output_steps) {
-        out.columns.push_back(cols[static_cast<size_t>(s)]);
-      }
-    } else {
-      out.columns = in.columns;  // filters only: share, just narrow the sel
-    }
-    return out;
-  }
-  if (sched.reshaped && ScheduleEvals(sched)) {
-    // The first evaluating stage compacted, so the output columns are
-    // morsel-dense; compact any trailing selection too and the merge is a
-    // plain column concatenation.
-    out.columns.reserve(sched.output_steps.size());
-    if (filtered) {
-      for (int s : sched.output_steps) {
-        out.columns.push_back(
-            MakeColumn(GatherColumn(*cols[static_cast<size_t>(s)], sel)));
-      }
-      out.rows = sel.size();
-    } else {
-      for (int s : sched.output_steps) {
-        out.columns.push_back(cols[static_cast<size_t>(s)]);
-      }
-      out.rows = limit;
-    }
-    return out;
-  }
-  // No evaluation ever ran: the output shares whole-partition input columns
-  // and the morsel's result is a selection over the parent's physical space
-  // (synthesized as the identity of the range when no predicate narrowed
-  // it), so the merge concatenates selections.
-  if (!filtered) {
-    sel.reserve(limit - base);
-    for (size_t i = base; i < limit; ++i) {
-      sel.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  out.rows = in.rows;
+  out.rows = rows;
   out.sel = std::move(sel);
-  out.filtered = true;
+  out.filtered = filtered;
   if (sched.reshaped) {
     out.columns.reserve(sched.output_steps.size());
     for (int s : sched.output_steps) {
       out.columns.push_back(cols[static_cast<size_t>(s)]);
     }
   } else {
-    out.columns = in.columns;
+    out.columns = in.columns;  // filters only: share, just narrow the sel
+  }
+  return out;
+}
+
+/// Destination d of an exchange: bin d of every source, in source order,
+/// concatenated column by column. bins[s][d] holds physical row indices of
+/// source partition s.
+BatchPartition GatherBins(const BatchData& in,
+                          const std::vector<std::vector<SelectionVector>>& bins,
+                          size_t d, size_t width) {
+  size_t total = 0;
+  for (const std::vector<SelectionVector>& b : bins) total += b[d].size();
+  BatchPartition out;
+  out.rows = total;
+  out.columns.reserve(width);
+  for (size_t j = 0; j < width; ++j) {
+    ColumnVector acc;
+    acc.Reserve(total);
+    for (size_t s = 0; s < bins.size(); ++s) {
+      if (bins[s][d].empty()) continue;
+      acc.AppendColumn(*in.partitions[s].columns[j], &bins[s][d]);
+    }
+    out.columns.push_back(MakeColumn(std::move(acc)));
   }
   return out;
 }
@@ -841,105 +777,22 @@ Result<BatchData> Executor::EvalChainBatch(const PhysicalNodePtr& head,
   BatchData out;
   out.schema = chain.front()->proto->schema();
   const size_t nparts = in.partitions.size();
-  const size_t nstages = sched.stages.size();
   out.partitions.resize(nparts);
-
-  // Pure remap (no filter, no eval — every plain SELECT column list): there
-  // is no per-row work to split, and the whole-partition path shares the
-  // input columns zero-copy where a sub-morsel run would have to emit a
-  // synthesized selection — turning every downstream dense-column share
-  // into a full gather. Run it serial-shaped per partition instead.
-  const int64_t in_rows = in.TotalLiveRows();
-  if (!ScheduleFilters(sched) && !ScheduleEvals(sched)) {
-    RunPartitions(nparts, in_rows, [&](size_t p) {
-      std::vector<int64_t> plive(nstages, 0);
-      out.partitions[p] =
-          RunChainMorsel(sched, col_pos, in.partitions[p],
-                         /*mbegin=*/0, in.partitions[p].LiveRows(), &plive);
-    });
-    for (size_t p = 0; p < nparts; ++p) {
-      metrics->batches_evaluated +=
-          static_cast<int64_t>(nstages) *
-          NumBatches(in.partitions[p].LiveRows(), kBatchRows);
-    }
-    return out;
-  }
-
-  // Morsel pass: every (partition, morsel) range runs the whole schedule
-  // into its own output slot and per-stage live-row counts.
-  std::vector<size_t> live(nparts);
-  std::vector<std::vector<BatchPartition>> mout(nparts);
-  std::vector<std::vector<std::vector<int64_t>>> mlive(nparts);
-  for (size_t p = 0; p < nparts; ++p) {
-    live[p] = in.partitions[p].LiveRows();
-    const size_t nm = static_cast<size_t>(NumBatches(live[p], morsel_size_));
-    mout[p].resize(nm);
-    mlive[p].assign(nm, std::vector<int64_t>(nstages, 0));
-  }
-  RunMorsels(live, metrics, [&](size_t p, size_t b, size_t e) {
-    mout[p][b / morsel_size_] = RunChainMorsel(
-        sched, col_pos, in.partitions[p], b, e, &mlive[p][b / morsel_size_]);
+  std::vector<std::vector<int64_t>> stage_live(
+      nparts, std::vector<int64_t>(sched.stages.size(), 0));
+  RunPartitions(nparts, in.TotalLiveRows(), [&](size_t p) {
+    out.partitions[p] =
+        RunChain(sched, col_pos, in.partitions[p], &stage_live[p]);
   });
-
-  // Merge pass: fixed morsel-order concatenation per partition, so the
-  // live-cell sequence is the serial chain's at any morsel size or thread
-  // count.
-  RunPartitions(nparts, in_rows, [&](size_t p) {
-    std::vector<BatchPartition>& ms = mout[p];
-    BatchPartition& sink = out.partitions[p];
-    if (ms.empty()) {
-      // Zero live rows, zero morsels: still run the (empty) chain so the
-      // output columns exist for downstream consumers, as in serial.
-      std::vector<int64_t> zero(nstages, 0);
-      sink = RunChainMorsel(sched, col_pos, in.partitions[p], 0, 0, &zero);
-      return;
-    }
-    if (ms.size() == 1) {
-      sink = std::move(ms[0]);
-      return;
-    }
-    if (sched.reshaped && ScheduleEvals(sched)) {
-      // Dense morsel outputs: concatenate columns in morsel order.
-      size_t total = 0;
-      for (const BatchPartition& m : ms) total += m.rows;
-      const size_t width = sched.output_steps.size();
-      sink.rows = total;
-      sink.columns.reserve(width);
-      for (size_t j = 0; j < width; ++j) {
-        ColumnVector acc;
-        acc.Reserve(total);
-        for (const BatchPartition& m : ms) {
-          acc.AppendColumn(*m.columns[j], nullptr);
-        }
-        sink.columns.push_back(MakeColumn(std::move(acc)));
-      }
-      return;
-    }
-    // Shared columns: concatenate the morsel selections — disjoint,
-    // ascending slices of the parent's live order.
-    size_t total = 0;
-    for (const BatchPartition& m : ms) total += m.sel.size();
-    sink.rows = in.partitions[p].rows;
-    sink.filtered = true;
-    sink.sel.reserve(total);
-    for (const BatchPartition& m : ms) {
-      sink.sel.insert(sink.sel.end(), m.sel.begin(), m.sel.end());
-    }
-    sink.columns = sched.reshaped ? ms[0].columns : in.partitions[p].columns;
-  });
-
-  // batches_evaluated depends on per-stage selectivity: per-morsel live
-  // counts sum to the partition's per-stage live rows, so the batch count
-  // is the serial one at every morsel size. Summed master-side in
-  // partition order.
-  for (size_t p = 0; p < nparts; ++p) {
-    for (size_t s = 0; s < nstages; ++s) {
-      int64_t rows_at_stage = 0;
-      for (const std::vector<int64_t>& m : mlive[p]) rows_at_stage += m[s];
+  // batches_evaluated depends on per-stage selectivity; summed master-side
+  // in partition order.
+  for (const std::vector<int64_t>& live : stage_live) {
+    for (int64_t rows : live) {
       metrics->batches_evaluated +=
-          NumBatches(static_cast<size_t>(rows_at_stage), kBatchRows);
+          NumBatches(static_cast<size_t>(rows), kBatchRows);
     }
   }
+  if (ScheduleDoesRowWork(sched)) metrics->morsels_evaluated += ScanJobs(in);
   return out;
 }
 
@@ -969,114 +822,58 @@ Result<BatchData> Executor::EvalAggregateBatch(const PhysicalNode& node,
   out.schema = proto.schema();
   out.partitions.resize(in.partitions.size());
   metrics->batches_evaluated += LiveBatches(in);
+  metrics->morsels_evaluated += ScanJobs(in);
 
   const size_t in_width = in.schema.columns().size();
-  const size_t nparts = in.partitions.size();
-  const int64_t in_rows = in.TotalLiveRows();
+  // Stream aggregates deliver rows ordered on their chosen sort order.
+  std::vector<int> sort_pos;
+  if (node.kind == PhysicalOpKind::kStreamAgg && !node.sort_spec.Empty()) {
+    sort_pos = out.schema.PositionsOf(node.sort_spec.cols);
+  }
 
-  // Per-partition state threaded through the passes below.
-  struct PartAgg {
-    std::vector<ColumnPtr> dense;  ///< live views of referenced columns
-    size_t n = 0;
-    std::vector<uint64_t> hashes;
-    std::vector<size_t> ids;  ///< global group id per live row, row order
-    SelectionVector reps;     ///< first (representative) live row per group
-    std::vector<AggState> states;  ///< naggs states per group, group-major
-  };
-  std::vector<PartAgg> ps(nparts);
-  std::vector<size_t> live(nparts);
-
-  // Pass 1 (partition-parallel): densify the referenced columns — shared
-  // when the partition is unfiltered, gathered through the selection
-  // otherwise — and allocate the shared hash accumulator morsel jobs write
-  // disjoint slices of.
-  RunPartitions(nparts, in_rows, [&](size_t p) {
-    PartAgg& st = ps[p];
+  // One job per partition: densify the referenced columns (shared when the
+  // partition is unfiltered, gathered through the selection otherwise),
+  // hash the key cells, assign dense group ids in one row-order insert
+  // scan, fold each aggregate column-major, and finalize straight into
+  // columns: key columns gathered at the representative rows, then per
+  // aggregate the output column (plus a local Avg's hidden partial count).
+  // Row-order insertion makes every group id, and so the output group
+  // order, a function of the partition alone. A group is keyed by its first
+  // live row (ColumnKeyTable), so no key is ever materialized.
+  RunPartitions(in.partitions.size(), in.TotalLiveRows(), [&](size_t p) {
     const BatchPartition& part = in.partitions[p];
-    st.n = part.LiveRows();
-    st.dense.resize(in_width);
-    auto densify = [&](int pos) {
-      if (pos < 0) return;
-      ColumnPtr& col = st.dense[static_cast<size_t>(pos)];
+    const size_t n = part.LiveRows();
+    std::vector<ColumnPtr> dense(in_width);
+    auto densify = [&](int pos) -> const ColumnVector* {
+      if (pos < 0) return nullptr;
+      ColumnPtr& col = dense[static_cast<size_t>(pos)];
       if (col == nullptr) col = DenseColumn(part, pos);
+      return col.get();
     };
-    for (int gp : group_pos) densify(gp);
-    for (size_t i = 0; i < naggs; ++i) {
-      densify(io[i].arg_pos);
-      densify(io[i].hidden_pos);
-    }
-    st.hashes.assign(st.n, kRowKeySeed);
-    st.ids.resize(st.n);
-  });
-  for (size_t p = 0; p < nparts; ++p) live[p] = ps[p].n;
-
-  // Pass 2 (morsel-parallel): hash the key cells. Hashing is the
-  // data-parallel, SIMD-friendly half of group-id assignment; each morsel
-  // writes a disjoint slice of the partition's hash array.
-  RunMorsels(live, metrics, [&](size_t p, size_t b, size_t e) {
-    PartAgg& st = ps[p];
-    for (int gp : group_pos) {
-      HashColumnCells(*st.dense[static_cast<size_t>(gp)], b, e,
-                      st.hashes.data());
-    }
-  });
-
-  // Pass 3 (partition-parallel): one serial-row-order insert scan per
-  // partition over the precomputed hashes. Scanning in row order makes the
-  // table's insertion order — and therefore every dense group id and the
-  // output group order — the serial one by construction, at any morsel
-  // size, with no merge step to pay for. (A morsel-local-table fold gives
-  // the same ids but costs a rebuild pass; measured, it was ~20% of
-  // aggregate-heavy scripts.) A group is keyed by its first live row
-  // (ColumnKeyTable), so no key is ever materialized.
-  RunPartitions(nparts, in_rows, [&](size_t p) {
-    PartAgg& st = ps[p];
     std::vector<const ColumnVector*> keys;
     keys.reserve(group_pos.size());
+    std::vector<uint64_t> hashes(n, kRowKeySeed);
     for (int gp : group_pos) {
-      keys.push_back(st.dense[static_cast<size_t>(gp)].get());
+      keys.push_back(densify(gp));
+      HashColumnCells(*keys.back(), n, hashes.data());
     }
-    ColumnKeyTable table(std::move(keys), st.n);
-    for (size_t r = 0; r < st.n; ++r) {
-      st.ids[r] = table.FindOrInsert(r, st.hashes[r]).first;
+    ColumnKeyTable table(keys, n);
+    std::vector<size_t> ids(n);
+    for (size_t r = 0; r < n; ++r) {
+      ids[r] = table.FindOrInsert(r, hashes[r]).first;
     }
-    st.reps = table.reps();
-    st.states.assign(st.reps.size() * naggs, AggState{});
-  });
-
-  // Pass 4 (flat partition x aggregate jobs): serial-row-order columnar
-  // updates with the global ids. Different aggregates of one partition
-  // write disjoint states[] elements, so the jobs are independent; within
-  // one (group, aggregate) pair the update order is the column's row order
-  // — float partials (dsum) are never folded across morsels.
-  RunPartitions(nparts * naggs, in_rows, [&](size_t j) {
-    const size_t p = j / naggs;
-    const size_t i = j % naggs;
-    PartAgg& st = ps[p];
-    const int ap = io[i].arg_pos;
-    const int hp = io[i].hidden_pos;
-    UpdateAggColumnar(proto.aggregates[i], global,
-                      ap >= 0 ? st.dense[static_cast<size_t>(ap)].get()
-                              : nullptr,
-                      hp >= 0 ? st.dense[static_cast<size_t>(hp)].get()
-                              : nullptr,
-                      st.ids, naggs, i, &st.states);
-  });
-
-  // Pass 5 (partition-parallel): finalize straight into columns: key
-  // columns gathered at the representative rows, then per aggregate the
-  // output column (plus a local Avg's hidden partial count) — the output
-  // row layout, column-major.
-  int64_t groups = 0;
-  for (const PartAgg& st : ps) groups += static_cast<int64_t>(st.reps.size());
-  RunPartitions(nparts, groups, [&](size_t p) {
-    PartAgg& st = ps[p];
+    const SelectionVector& reps = table.reps();
+    const size_t ngroups = reps.size();
+    std::vector<AggState> states(ngroups * naggs);
+    for (size_t i = 0; i < naggs; ++i) {
+      UpdateAggColumnar(proto.aggregates[i], global,
+                        densify(io[i].arg_pos), densify(io[i].hidden_pos),
+                        ids, naggs, i, &states);
+    }
     BatchPartition& sink = out.partitions[p];
-    const size_t ngroups = st.reps.size();
     sink.rows = ngroups;
-    for (int gp : group_pos) {
-      sink.columns.push_back(MakeColumn(
-          GatherColumn(*st.dense[static_cast<size_t>(gp)], st.reps)));
+    for (const ColumnVector* key : keys) {
+      sink.columns.push_back(MakeColumn(GatherColumn(*key, reps)));
     }
     for (size_t i = 0; i < naggs; ++i) {
       const AggregateDesc& a = proto.aggregates[i];
@@ -1084,27 +881,20 @@ Result<BatchData> Executor::EvalAggregateBatch(const PhysicalNode& node,
       col.Reserve(ngroups);
       for (size_t id = 0; id < ngroups; ++id) {
         col.AppendValue(
-            FinalizeAggCell(a, st.states[id * naggs + i], global, local));
+            FinalizeAggCell(a, states[id * naggs + i], global, local));
       }
       sink.columns.push_back(MakeColumn(std::move(col)));
       if (local && a.hidden_count != 0) {
         ColumnVector hid;
         hid.Reserve(ngroups);
         for (size_t id = 0; id < ngroups; ++id) {
-          hid.AppendValue(Value::Int(st.states[id * naggs + i].count));
+          hid.AppendValue(Value::Int(states[id * naggs + i].count));
         }
         sink.columns.push_back(MakeColumn(std::move(hid)));
       }
     }
+    if (!sort_pos.empty()) sink = SortedPartition(sink, sort_pos);
   });
-
-  // Stream aggregates deliver rows ordered on their chosen sort order.
-  if (node.kind == PhysicalOpKind::kStreamAgg && !node.sort_spec.Empty()) {
-    std::vector<int> positions = out.schema.PositionsOf(node.sort_spec.cols);
-    RunPartitions(out.partitions.size(), groups, [&](size_t p) {
-      out.partitions[p] = SortedPartition(out.partitions[p], positions);
-    });
-  }
   return out;
 }
 
@@ -1128,6 +918,8 @@ Result<BatchData> Executor::EvalJoinBatch(const PhysicalNode& node,
   out.partitions.resize(left.partitions.size());
   metrics->batches_evaluated +=
       LiveBatches(right) + LiveBatches(left);
+  // The build and the probe scan: one job per non-empty side partition.
+  metrics->morsels_evaluated += ScanJobs(right) + ScanJobs(left);
 
   const size_t nleft = left.schema.columns().size();
   const size_t nright = right.schema.columns().size();
@@ -1144,232 +936,125 @@ Result<BatchData> Executor::EvalJoinBatch(const PhysicalNode& node,
     rio.push_back(r);
   }
 
-  const size_t nparts = left.partitions.size();
-  const size_t width = nleft + nright;
-
-  // Per-partition state threaded through the passes below.
-  struct PartJoin {
-    std::vector<ColumnPtr> bcols, pcols;  ///< dense build/probe views
-    size_t bn = 0, pn = 0;
-    std::vector<uint64_t> bh, ph;  ///< shared hash accumulators
-    std::unique_ptr<ColumnKeyTable> table;  ///< over the build key columns
-    std::vector<std::vector<uint32_t>> rows_by_key;
-    std::vector<const ColumnVector*> probe_keys;
-    std::vector<SelectionVector> mli, mbi;  ///< per probe morsel
-    SelectionVector li, bi;  ///< surviving pairs, in emit order
-  };
-  std::vector<PartJoin> js(nparts);
-  std::vector<size_t> blive(nparts), plive(nparts);
-
+  // One job per partition: dense live views of both sides (all columns:
+  // the output gathers every cell of each surviving pair), the build table
+  // filled in one row-order scan (first-occurrence insertion order and
+  // ascending per-key row lists), the probe scan emitting pairs in probe
+  // row order, build insertion order within a key group, and the output
+  // columns gathered at those pairs.
   const int64_t in_rows = left.TotalLiveRows() + right.TotalLiveRows();
-  // Pass 1 (partition-parallel): dense live views of both sides (all
-  // columns: the output gathers every cell of each surviving pair).
-  RunPartitions(nparts, in_rows, [&](size_t p) {
-    PartJoin& st = js[p];
-    st.bcols.resize(nright);
-    st.pcols.resize(nleft);
+  RunPartitions(left.partitions.size(), in_rows, [&](size_t p) {
+    std::vector<ColumnPtr> bcols(nright), pcols(nleft);
     for (size_t j = 0; j < nright; ++j) {
-      st.bcols[j] = DenseColumn(right.partitions[p], static_cast<int>(j));
+      bcols[j] = DenseColumn(right.partitions[p], static_cast<int>(j));
     }
     for (size_t j = 0; j < nleft; ++j) {
-      st.pcols[j] = DenseColumn(left.partitions[p], static_cast<int>(j));
+      pcols[j] = DenseColumn(left.partitions[p], static_cast<int>(j));
     }
-    st.bn = right.partitions[p].LiveRows();
-    st.pn = left.partitions[p].LiveRows();
-    st.bh.assign(st.bn, kRowKeySeed);
-    st.ph.assign(st.pn, kRowKeySeed);
-    st.mli.resize(static_cast<size_t>(NumBatches(st.pn, morsel_size_)));
-    st.mbi.resize(st.mli.size());
-  });
-  for (size_t p = 0; p < nparts; ++p) {
-    blive[p] = js[p].bn;
-    plive[p] = js[p].pn;
-  }
-
-  // Pass 2 (morsel-parallel): hash the build keys — the data-parallel half
-  // of the build; each morsel writes a disjoint hash-array slice.
-  RunMorsels(blive, metrics, [&](size_t p, size_t b, size_t e) {
-    PartJoin& st = js[p];
+    const size_t bn = right.partitions[p].LiveRows();
+    const size_t pn = left.partitions[p].LiveRows();
+    std::vector<const ColumnVector*> build_keys, probe_keys;
+    std::vector<uint64_t> bh(bn, kRowKeySeed), ph(pn, kRowKeySeed);
     for (int rp : rpos) {
-      HashColumnCells(*st.bcols[static_cast<size_t>(rp)], b, e,
-                      st.bh.data());
-    }
-  });
-
-  // Pass 3 (partition-parallel): build each partition's table in one
-  // serial-row-order scan over the precomputed hashes — first-occurrence
-  // insertion order and ascending per-key row lists are the serial ones by
-  // construction, with no morsel-table fold to pay for.
-  RunPartitions(nparts, in_rows, [&](size_t p) {
-    PartJoin& st = js[p];
-    std::vector<const ColumnVector*> build_keys;
-    for (int rp : rpos) {
-      build_keys.push_back(st.bcols[static_cast<size_t>(rp)].get());
+      build_keys.push_back(bcols[static_cast<size_t>(rp)].get());
+      HashColumnCells(*build_keys.back(), bn, bh.data());
     }
     for (int lp : lpos) {
-      st.probe_keys.push_back(st.pcols[static_cast<size_t>(lp)].get());
+      probe_keys.push_back(pcols[static_cast<size_t>(lp)].get());
+      HashColumnCells(*probe_keys.back(), pn, ph.data());
     }
-    st.table = std::make_unique<ColumnKeyTable>(std::move(build_keys), st.bn);
-    for (size_t r = 0; r < st.bn; ++r) {
-      auto [id, inserted] = st.table->FindOrInsert(r, st.bh[r]);
-      if (inserted) st.rows_by_key.emplace_back();
-      st.rows_by_key[id].push_back(static_cast<uint32_t>(r));
+    ColumnKeyTable table(build_keys, bn);
+    std::vector<std::vector<uint32_t>> rows_by_key;
+    for (size_t r = 0; r < bn; ++r) {
+      auto [id, inserted] = table.FindOrInsert(r, bh[r]);
+      if (inserted) rows_by_key.emplace_back();
+      rows_by_key[id].push_back(static_cast<uint32_t>(r));
     }
-  });
-
-  // Pass 4 (morsel-parallel): hash this morsel's probe keys and scan. The
-  // emit order inside a morsel is probe row order outer, build insertion
-  // order within a key group, collected per morsel.
-  RunMorsels(plive, metrics, [&](size_t p, size_t b, size_t e) {
-    PartJoin& st = js[p];
-    const size_t m = b / morsel_size_;
-    for (int lp : lpos) {
-      HashColumnCells(*st.pcols[static_cast<size_t>(lp)], b, e,
-                      st.ph.data());
-    }
-    SelectionVector& li = st.mli[m];
-    SelectionVector& bi = st.mbi[m];
     auto cell = [&](int pos, uint32_t pi, uint32_t bri) {
       return pos < static_cast<int>(nleft)
-                 ? st.pcols[static_cast<size_t>(pos)]->ValueAt(pi)
-                 : st.bcols[static_cast<size_t>(pos) - nleft]->ValueAt(bri);
+                 ? pcols[static_cast<size_t>(pos)]->ValueAt(pi)
+                 : bcols[static_cast<size_t>(pos) - nleft]->ValueAt(bri);
     };
-    for (size_t i = b; i < e; ++i) {
-      size_t id = st.table->Find(st.probe_keys, i, st.ph[i]);
+    SelectionVector li, bi;  // surviving pairs, in emit order
+    for (uint32_t i = 0; i < static_cast<uint32_t>(pn); ++i) {
+      size_t id = table.Find(probe_keys, i, ph[i]);
       if (id == ColumnKeyTable::kNotFound) continue;
-      for (uint32_t bld : st.rows_by_key[id]) {
+      for (uint32_t bld : rows_by_key[id]) {
         bool pass = true;
         for (size_t k = 0; k < rio.size(); ++k) {
           const BoundPredicate& pred = proto.predicates[k];
-          Value lv = cell(rio[k].lhs_pos, static_cast<uint32_t>(i), bld);
-          Value rv = rio[k].rhs_pos >= 0
-                         ? cell(rio[k].rhs_pos, static_cast<uint32_t>(i), bld)
-                         : pred.literal;
+          Value lv = cell(rio[k].lhs_pos, i, bld);
+          Value rv = rio[k].rhs_pos >= 0 ? cell(rio[k].rhs_pos, i, bld)
+                                         : pred.literal;
           if (!PredicatePassCells(pred.op, lv, rv)) {
             pass = false;
             break;
           }
         }
         if (pass) {
-          li.push_back(static_cast<uint32_t>(i));
+          li.push_back(i);
           bi.push_back(bld);
         }
       }
     }
-  });
-
-  // Pass 5 (partition-parallel): concatenate the per-morsel pair lists in
-  // morsel order — probe row order overall, i.e. the serial emit order.
-  RunPartitions(nparts, in_rows, [&](size_t p) {
-    PartJoin& st = js[p];
-    size_t total = 0;
-    for (const SelectionVector& s : st.mli) total += s.size();
-    st.li.reserve(total);
-    st.bi.reserve(total);
-    for (size_t m = 0; m < st.mli.size(); ++m) {
-      st.li.insert(st.li.end(), st.mli[m].begin(), st.mli[m].end());
-      st.bi.insert(st.bi.end(), st.mbi[m].begin(), st.mbi[m].end());
+    BatchPartition& sink = out.partitions[p];
+    sink.rows = li.size();
+    sink.columns.reserve(nleft + nright);
+    for (const ColumnPtr& col : pcols) {
+      sink.columns.push_back(MakeColumn(GatherColumn(*col, li)));
     }
-    st.mli.clear();
-    st.mbi.clear();
-    out.partitions[p].rows = st.li.size();
-    out.partitions[p].columns.resize(width);
-  });
-
-  // Pass 6 (flat partition x column jobs): gather the output columns.
-  int64_t pairs = 0;
-  for (const PartJoin& st : js) pairs += static_cast<int64_t>(st.li.size());
-  RunPartitions(nparts * width, pairs, [&](size_t j) {
-    const size_t p = j / width;
-    const size_t c = j % width;
-    PartJoin& st = js[p];
-    out.partitions[p].columns[c] = MakeColumn(
-        c < nleft ? GatherColumn(*st.pcols[c], st.li)
-                  : GatherColumn(*st.bcols[c - nleft], st.bi));
+    for (const ColumnPtr& col : bcols) {
+      sink.columns.push_back(MakeColumn(GatherColumn(*col, bi)));
+    }
   });
   return out;
 }
 
 BatchData Executor::ExchangeBatch(const PhysicalNode& node, BatchData in,
                                   ExecMetrics* metrics, bool preserve_order) {
-  size_t machines = static_cast<size_t>(cluster_.machines);
+  const size_t machines = static_cast<size_t>(cluster_.machines);
   std::vector<int> positions =
       in.schema.PositionsOf(node.exchange_cols.ToVector());
   metrics->bytes_shuffled += in.TotalLiveBytes();
   metrics->rows_shuffled += in.TotalLiveRows();
   metrics->batches_evaluated += LiveBatches(in);
+  metrics->morsels_evaluated += ScanJobs(in);
 
+  // Source pass: hash each source's live key cells and bin its live
+  // physical row indices per destination; source s owns bins[s].
   const size_t nsrc = in.partitions.size();
-  const size_t width = in.schema.columns().size();
-  // Phase 1: densify the key columns per source (partition-parallel), then
-  // hash and bin live physical row indices per (source, morsel,
-  // destination) in one flat morsel pass — each job owns its bin row.
-  std::vector<size_t> live(nsrc);
-  std::vector<std::vector<ColumnPtr>> key_cols(nsrc);
-  std::vector<std::vector<uint64_t>> hashes(nsrc);
-  std::vector<std::vector<std::vector<SelectionVector>>> dsel(nsrc);
   const int64_t in_rows = in.TotalLiveRows();
+  std::vector<std::vector<SelectionVector>> bins(
+      nsrc, std::vector<SelectionVector>(machines));
   RunPartitions(nsrc, in_rows, [&](size_t s) {
     const BatchPartition& part = in.partitions[s];
     const size_t n = part.LiveRows();
-    live[s] = n;
-    key_cols[s].resize(width);
-    hashes[s].assign(n, kRowKeySeed);
-    dsel[s].assign(static_cast<size_t>(NumBatches(n, morsel_size_)),
-                   std::vector<SelectionVector>(machines));
+    std::vector<uint64_t> hashes(n, kRowKeySeed);
     for (int pos : positions) {
-      ColumnPtr& col = key_cols[s][static_cast<size_t>(pos)];
-      if (col == nullptr) col = DenseColumn(part, pos);
+      HashColumnCells(*DenseColumn(part, pos), n, hashes.data());
+    }
+    for (size_t k = 0; k < n; ++k) {
+      bins[s][hashes[k] % machines].push_back(
+          part.filtered ? part.sel[k] : static_cast<uint32_t>(k));
     }
   });
-  RunMorsels(live, metrics, [&](size_t s, size_t b, size_t e) {
-    const BatchPartition& part = in.partitions[s];
-    std::vector<SelectionVector>& bins = dsel[s][b / morsel_size_];
-    for (int pos : positions) {
-      HashColumnCells(*key_cols[s][static_cast<size_t>(pos)], b, e,
-                      hashes[s].data());
-    }
-    for (size_t k = b; k < e; ++k) {
-      size_t d = hashes[s][k] % machines;
-      bins[d].push_back(part.filtered ? part.sel[k]
-                                      : static_cast<uint32_t>(k));
-    }
-  });
-  // Phase 2: per destination, concatenate the column slices source-major,
-  // morsel order within a source — a row order independent of the morsel
-  // size and the thread count.
+  // Destination pass: concatenate the bins source-major — a row order
+  // independent of the thread count — and, for an order-preserving
+  // exchange, sort each destination on the delivered order.
+  std::vector<int> sort_pos;
+  if (preserve_order && !node.delivered.sort.Empty()) {
+    sort_pos = in.schema.PositionsOf(node.delivered.sort.cols);
+  }
+  const size_t width = in.schema.columns().size();
   BatchData out;
-  out.schema = std::move(in.schema);
   out.partitions.resize(machines);
   RunPartitions(machines, in_rows, [&](size_t d) {
-    size_t total = 0;
-    for (size_t s = 0; s < nsrc; ++s) {
-      for (const std::vector<SelectionVector>& bins : dsel[s]) {
-        total += bins[d].size();
-      }
-    }
-    BatchPartition& sink = out.partitions[d];
-    sink.rows = total;
-    sink.columns.reserve(width);
-    for (size_t j = 0; j < width; ++j) {
-      ColumnVector acc;
-      acc.Reserve(total);
-      for (size_t s = 0; s < nsrc; ++s) {
-        for (const std::vector<SelectionVector>& bins : dsel[s]) {
-          if (bins[d].empty()) continue;
-          acc.AppendColumn(*in.partitions[s].columns[j], &bins[d]);
-        }
-      }
-      sink.columns.push_back(MakeColumn(std::move(acc)));
+    out.partitions[d] = GatherBins(in, bins, d, width);
+    if (!sort_pos.empty()) {
+      out.partitions[d] = SortedPartition(out.partitions[d], sort_pos);
     }
   });
-  if (preserve_order && !node.delivered.sort.Empty()) {
-    std::vector<int> sort_pos =
-        out.schema.PositionsOf(node.delivered.sort.cols);
-    RunPartitions(out.partitions.size(), in_rows, [&](size_t p) {
-      out.partitions[p] = SortedPartition(out.partitions[p], sort_pos);
-    });
-  }
+  out.schema = std::move(in.schema);
   return out;
 }
 
@@ -1383,24 +1068,18 @@ BatchData Executor::RangeExchangeBatch(const PhysicalNode& node, BatchData in,
   metrics->bytes_shuffled += in.TotalLiveBytes();
   metrics->rows_shuffled += in.TotalLiveRows();
   metrics->batches_evaluated += LiveBatches(in);
+  metrics->morsels_evaluated += ScanJobs(in);
 
-  // Dense live views of the key columns per source, and the whole key
-  // multiset concatenated (partition order, live order) for the boundary
-  // scan.
-  std::vector<std::vector<ColumnPtr>> pkeys(nsrc);
+  // The whole key multiset concatenated (partition order, live order) for
+  // the boundary scan.
   const int64_t in_rows = in.TotalLiveRows();
-  RunPartitions(nsrc, in_rows, [&](size_t s) {
-    pkeys[s].resize(nkeys);
-    for (size_t k = 0; k < nkeys; ++k) {
-      pkeys[s][k] = DenseColumn(in.partitions[s], positions[k]);
-    }
-  });
-  const size_t total_live = static_cast<size_t>(in.TotalLiveRows());
+  const size_t total_live = static_cast<size_t>(in_rows);
   std::vector<ColumnVector> all(nkeys);
   for (size_t k = 0; k < nkeys; ++k) {
     all[k].Reserve(total_live);
-    for (size_t s = 0; s < nsrc; ++s) {
-      all[k].AppendColumn(*pkeys[s][k], nullptr);
+    for (const BatchPartition& part : in.partitions) {
+      all[k].AppendColumn(*part.columns[static_cast<size_t>(positions[k])],
+                          part.Selection());
     }
   }
 
@@ -1427,69 +1106,47 @@ BatchData Executor::RangeExchangeBatch(const PhysicalNode& node, BatchData in,
     boundaries.push_back(std::move(b));
   }
 
-  // Scatter: morsel jobs compute each live row's destination — an
-  // upper_bound over the boundaries with cell-vs-Value comparisons — and
-  // bin the physical row indices per (source, morsel, destination).
-  std::vector<size_t> live(nsrc);
-  std::vector<std::vector<std::vector<SelectionVector>>> bins(nsrc);
-  for (size_t s = 0; s < nsrc; ++s) {
-    live[s] = in.partitions[s].LiveRows();
-    bins[s].assign(static_cast<size_t>(NumBatches(live[s], morsel_size_)),
-                   std::vector<SelectionVector>(machines));
-  }
-  RunMorsels(live, metrics, [&](size_t s, size_t b, size_t e) {
+  // Source pass: each live row's destination is an upper_bound over the
+  // boundaries with cell-vs-Value comparisons; its physical row index goes
+  // to bins[s][destination].
+  std::vector<std::vector<SelectionVector>> bins(
+      nsrc, std::vector<SelectionVector>(machines));
+  RunPartitions(nsrc, in_rows, [&](size_t s) {
     const BatchPartition& part = in.partitions[s];
-    std::vector<SelectionVector>& mb = bins[s][b / morsel_size_];
-    auto less_than_boundary = [&](size_t row, const Row& bound) {
+    auto less_than_boundary = [&](uint32_t row, const Row& bound) {
       for (size_t k = 0; k < nkeys; ++k) {
-        int c = CompareCellValue(*pkeys[s][k], row, bound[k]);
+        int c = CompareCellValue(
+            *part.columns[static_cast<size_t>(positions[k])], row, bound[k]);
         if (c != 0) return c < 0;
       }
       return false;  // equal keys go right of the boundary (upper_bound)
     };
-    for (size_t i = b; i < e; ++i) {
+    const size_t n = part.LiveRows();
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t row =
+          part.filtered ? part.sel[i] : static_cast<uint32_t>(i);
       size_t lo = 0, hi = boundaries.size();
       while (lo < hi) {
         const size_t mid = (lo + hi) / 2;
-        if (less_than_boundary(i, boundaries[mid])) {
+        if (less_than_boundary(row, boundaries[mid])) {
           hi = mid;
         } else {
           lo = mid + 1;
         }
       }
-      mb[lo].push_back(part.filtered ? part.sel[i]
-                                     : static_cast<uint32_t>(i));
+      bins[s][lo].push_back(row);
     }
   });
 
-  // Gather per destination: source-major, morsel order within a source —
-  // the same row order as the hash exchange's.
+  // Destination pass: source-major, the same row order as the hash
+  // exchange's.
+  const size_t width = in.schema.columns().size();
   BatchData out;
-  out.schema = std::move(in.schema);
   out.partitions.resize(machines);
-  const size_t width = out.schema.columns().size();
   RunPartitions(machines, in_rows, [&](size_t d) {
-    size_t total = 0;
-    for (size_t s = 0; s < nsrc; ++s) {
-      for (const std::vector<SelectionVector>& mb : bins[s]) {
-        total += mb[d].size();
-      }
-    }
-    BatchPartition& sink = out.partitions[d];
-    sink.rows = total;
-    sink.columns.reserve(width);
-    for (size_t j = 0; j < width; ++j) {
-      ColumnVector acc;
-      acc.Reserve(total);
-      for (size_t s = 0; s < nsrc; ++s) {
-        for (const std::vector<SelectionVector>& mb : bins[s]) {
-          if (mb[d].empty()) continue;
-          acc.AppendColumn(*in.partitions[s].columns[j], &mb[d]);
-        }
-      }
-      sink.columns.push_back(MakeColumn(std::move(acc)));
-    }
+    out.partitions[d] = GatherBins(in, bins, d, width);
   });
+  out.schema = std::move(in.schema);
   return out;
 }
 

@@ -8,14 +8,6 @@
 
 namespace scx {
 
-int DefaultMorselSize() {
-  if (const char* env = std::getenv("SCX_MORSEL_SIZE")) {
-    int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return 16384;
-}
-
 namespace {
 
 ColumnRep RepOf(const Value& v) {
@@ -284,36 +276,6 @@ ColumnVector GatherColumn(const ColumnVector& col,
   ColumnVector out(col.rep());
   out.Reserve(sel.size());
   out.AppendColumn(col, &sel);
-  return out;
-}
-
-ColumnVector SliceColumn(const ColumnVector& col, size_t begin, size_t end) {
-  ColumnVector out(col.rep());
-  const size_t n = end - begin;
-  out.Reserve(n);
-  if (col.null_count() > 0) {
-    for (size_t i = begin; i < end; ++i) {
-      if (col.IsNull(i)) {
-        out.AppendNull();
-      } else {
-        out.AppendValue(col.ValueAt(i));
-      }
-    }
-    return out;
-  }
-  switch (col.rep()) {
-    case ColumnRep::kInt64:
-      out.mutable_ints()->assign(col.ints().begin() + begin,
-                                 col.ints().begin() + end);
-      break;
-    case ColumnRep::kDouble:
-      out.mutable_doubles()->assign(col.doubles().begin() + begin,
-                                    col.doubles().begin() + end);
-      break;
-    default:
-      for (size_t i = begin; i < end; ++i) out.AppendValue(col.ValueAt(i));
-      break;
-  }
   return out;
 }
 

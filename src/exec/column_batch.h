@@ -11,12 +11,6 @@
 
 namespace scx {
 
-/// Default live rows per intra-partition morsel: the SCX_MORSEL_SIZE
-/// environment variable when set to a positive integer, otherwise 16384.
-/// Every value yields bit-identical results (docs/architecture.md §15);
-/// small values only add scheduling overhead.
-int DefaultMorselSize();
-
 /// Physical representation of one column of a batch. Typed reps store the
 /// raw payloads contiguously; kValue is the mixed-type fallback that keeps
 /// the executor's dynamic-typing semantics exact when a column's cells do
@@ -127,11 +121,6 @@ void AppendRowsFromColumns(const std::vector<const ColumnVector*>& cols,
 /// Gathers sel's cells of `col` into a new column (same rep, nulls kept).
 ColumnVector GatherColumn(const ColumnVector& col,
                           const SelectionVector& sel);
-
-/// Cells [begin, end) of `col` as a new dense column — a contiguous typed
-/// copy (same rep, nulls kept), the morsel analogue of GatherColumn without
-/// the indirection.
-ColumnVector SliceColumn(const ColumnVector& col, size_t begin, size_t end);
 
 /// Exact Value::operator<=> of cell i of `a` vs cell j of `b` as -1/0/+1
 /// (cross-type orders by type index, the canonical Value ordering), with

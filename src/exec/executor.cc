@@ -28,11 +28,15 @@ std::strong_ordering CanonicalCompare(const Value& a, const Value& b) {
   return std::isnan(a.as_double()) <=> std::isnan(b.as_double());
 }
 
+}  // namespace
+
 std::strong_ordering CanonicalCompare(const Row& a, const Row& b) {
   return std::lexicographical_compare_three_way(
       a.begin(), a.end(), b.begin(), b.end(),
       [](const Value& x, const Value& y) { return CanonicalCompare(x, y); });
 }
+
+namespace {
 
 // A closure type rather than a function, so std::sort inlines it.
 constexpr auto kCanonicalLess = [](const Row& a, const Row& b) {
@@ -70,14 +74,18 @@ std::map<std::string, std::vector<Row>> CanonicalOutputs(
   return out;
 }
 
-bool SameOutputs(const ExecMetrics& a, const ExecMetrics& b) {
-  auto ca = CanonicalOutputs(a);
-  auto cb = CanonicalOutputs(b);
-  return std::equal(ca.begin(), ca.end(), cb.begin(), cb.end(),
+bool SameOutputs(const std::map<std::string, std::vector<Row>>& a,
+                 const std::map<std::string, std::vector<Row>>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
                     [](const auto& x, const auto& y) {
                       return x.first == y.first &&
-                             SameCanonicalRows(x.second, y.second);
+                             SameCanonicalRows(CanonicalRows(x.second),
+                                               CanonicalRows(y.second));
                     });
+}
+
+bool SameOutputs(const ExecMetrics& a, const ExecMetrics& b) {
+  return SameOutputs(a.outputs, b.outputs);
 }
 
 std::string ExecMetricsToJson(const ExecMetrics& m) {
@@ -98,7 +106,6 @@ std::string ExecMetricsToJson(const ExecMetrics& m) {
      << ",\"batches_evaluated\":" << m.batches_evaluated
      << ",\"exprs_deduped\":" << m.exprs_deduped
      << ",\"morsels_evaluated\":" << m.morsels_evaluated
-     << ",\"morsel_steal_count\":" << m.morsel_steal_count
      << ",\"machine_failures_injected\":" << m.machine_failures_injected
      << ",\"partitions_recovered\":" << m.partitions_recovered
      << ",\"rows_recomputed\":" << m.rows_recomputed
@@ -192,32 +199,6 @@ void Executor::RunPartitions(size_t n, int64_t rows,
   if (pool_ == nullptr) pool_ = std::make_unique<WorkerPool>(threads_);
   ++pool_passes_;
   pool_->Run(n, fn);
-}
-
-void Executor::RunMorsels(const std::vector<size_t>& live, ExecMetrics* metrics,
-                          const std::function<void(size_t, size_t, size_t)>& fn) {
-  struct MorselJob {
-    size_t part, begin, end;
-  };
-  std::vector<MorselJob> jobs;
-  size_t nonempty = 0;
-  for (size_t p = 0; p < live.size(); ++p) {
-    if (live[p] == 0) continue;
-    ++nonempty;
-    for (size_t b = 0; b < live[p]; b += morsel_size_) {
-      jobs.push_back({p, b, std::min(live[p], b + morsel_size_)});
-    }
-  }
-  // Both counters depend on `live` and morsel_size_ only, never on the
-  // thread count or execution order.
-  metrics->morsels_evaluated += static_cast<int64_t>(jobs.size());
-  metrics->morsel_steal_count += static_cast<int64_t>(jobs.size() - nonempty);
-  int64_t rows = 0;
-  for (size_t n : live) rows += static_cast<int64_t>(n);
-  RunPartitions(jobs.size(), rows, [&](size_t j) {
-    const MorselJob& job = jobs[j];
-    fn(job.part, job.begin, job.end);
-  });
 }
 
 Result<ExecMetrics> Executor::Execute(const PhysicalNodePtr& plan) {

@@ -1,6 +1,7 @@
 #ifndef SCX_EXEC_EXECUTOR_H_
 #define SCX_EXEC_EXECUTOR_H_
 
+#include <compare>
 #include <functional>
 #include <map>
 #include <memory>
@@ -53,15 +54,11 @@ struct ExecMetrics {
   /// Structurally duplicate scalar subtrees eliminated by the
   /// expression-CSE pass, summed over Compute operator invocations.
   int64_t exprs_deduped = 0;
-  /// Morsel jobs scheduled by the intra-partition parallel stages (fused
-  /// chain evaluation, aggregate/join input scans, exchange key hashing).
-  /// A function of the data and morsel_size only — never of the thread
-  /// count.
+  /// Jobs run by the partition-parallel scans (fused chains that filter or
+  /// compute, aggregate key hashing, join build, join probe, hash and range
+  /// exchange binning): one per non-empty input partition of each scan. A
+  /// function of the data alone — never of the thread count.
   int64_t morsels_evaluated = 0;
-  /// Morsels beyond the first of their partition, summed over the same
-  /// stages: the jobs that partition-granularity scheduling could not have
-  /// overlapped with another thread. Deterministic for any thread count.
-  int64_t morsel_steal_count = 0;
 
   // --- Fault-injection / recovery counters (docs/architecture.md §17). All
   // stay 0 unless ClusterConfig::fault_plan is enabled; none of the counters
@@ -87,7 +84,7 @@ struct ExecMetrics {
   /// Simulated makespan: per operator pass, the maximum over machines of
   /// (live rows x FaultPlan::StragglerMultiplier), summed over passes. Only
   /// accounted while a FaultPlan is enabled; a function of the plan and the
-  /// data — never of threads or morsels.
+  /// data — never of the thread count.
   int64_t sim_makespan_ticks = 0;
 
   /// Output rows per OUTPUT path.
@@ -98,18 +95,23 @@ struct ExecMetrics {
 /// order; scx_cli --json embeds this under "execution".
 std::string ExecMetricsToJson(const ExecMetrics& m);
 
-/// Canonical (sorted) form of an output row set, for comparing the results
-/// of two plans. The sort is a total order: NaN sorts after every other
-/// double and all NaNs compare equal.
+/// The canonical order on rows: Value's ordering, except that NaN sorts
+/// after every other double and all NaNs compare equal, so it is total.
+std::strong_ordering CanonicalCompare(const Row& a, const Row& b);
+
+/// Canonical (sorted by CanonicalCompare) form of an output row set, for
+/// comparing the results of two plans.
 std::vector<Row> CanonicalRows(const std::vector<Row>& rows);
 std::vector<Row> CanonicalRows(std::vector<Row>&& rows);
 
 /// All outputs of one run in canonical form (each path's rows sorted).
 std::map<std::string, std::vector<Row>> CanonicalOutputs(const ExecMetrics& m);
 
-/// True iff both executions produced identical rows for identical paths,
-/// under the canonical order's equality (so a NaN matches a NaN).
-/// Each side is canonicalized exactly once.
+/// True iff both output sets hold identical rows for identical paths, in
+/// any order, under the canonical order's equality (so a NaN matches a
+/// NaN). Each side is canonicalized exactly once.
+bool SameOutputs(const std::map<std::string, std::vector<Row>>& a,
+                 const std::map<std::string, std::vector<Row>>& b);
 bool SameOutputs(const ExecMetrics& a, const ExecMetrics& b);
 
 /// Executes physical plans on a deterministic simulated cluster: extract
@@ -132,14 +134,12 @@ bool SameOutputs(const ExecMetrics& a, const ExecMetrics& b);
 /// bound logical DAG (testing/reference_eval.h), which shares nothing
 /// physical with the plan.
 ///
-/// Per-machine partitions are the unit of parallelism: the plan DAG is
-/// walked by one master thread, and each operator evaluates its partitions
-/// on a WorkerPool of cluster.exec_threads threads (1 = the exact serial
-/// path). The hot scans additionally split each partition into
-/// cluster.morsel_size-row morsels scheduled as one flat job list. Every
-/// job writes only its own (partition, morsel) output slot and all merges
-/// happen in fixed partition/morsel order, so counters and raw output rows
-/// are bit-identical at every thread count and morsel size
+/// Per-machine partitions are the one unit of parallelism: the plan DAG is
+/// walked by one master thread, and each operator is a short sequence of
+/// partition-parallel passes on a WorkerPool of cluster.exec_threads
+/// threads (1 = the exact serial path). Every job writes only its own
+/// partition's output slot and all merges happen in fixed partition order,
+/// so counters and raw output rows are bit-identical at every thread count
 /// (docs/architecture.md §15).
 class Executor {
  public:
@@ -155,10 +155,7 @@ class Executor {
   explicit Executor(ClusterConfig cluster)
       : cluster_(cluster),
         threads_(cluster.exec_threads > 0 ? cluster.exec_threads
-                                          : DefaultNumThreads()),
-        morsel_size_(cluster.morsel_size > 0
-                         ? static_cast<size_t>(cluster.morsel_size)
-                         : static_cast<size_t>(DefaultMorselSize())) {}
+                                          : DefaultNumThreads()) {}
 
   /// As above, but spool reads may additionally be served by (and fresh
   /// materializations inserted into) `cross_cache`, the engine-owned
@@ -203,7 +200,7 @@ class Executor {
   BatchData ExchangeBatch(const PhysicalNode& node, BatchData in,
                           ExecMetrics* metrics, bool preserve_order);
   /// Range repartitioning: columnar quantile boundaries plus a
-  /// morsel-binned scatter.
+  /// partition-binned scatter.
   BatchData RangeExchangeBatch(const PhysicalNode& node, BatchData in,
                                ExecMetrics* metrics);
 
@@ -213,22 +210,8 @@ class Executor {
   void RunPartitions(size_t n, int64_t rows,
                      const std::function<void(size_t)>& fn);
 
-  /// Splits each partition's live[p] rows into morsel_size_-row ranges and
-  /// runs fn(p, begin, end) for every range in one flat pool pass, so a
-  /// single hot partition spreads across all threads. Ranges index the live
-  /// row sequence (the selection when filtered, physical rows otherwise);
-  /// morsel m of partition p covers [m*morsel_size_, ...), so a job can
-  /// derive its slot as begin / morsel_size_. fn must write only to state
-  /// owned by its (partition, morsel) slot. Accounts morsels_evaluated and
-  /// morsel_steal_count — both functions of `live` alone; the pass runs
-  /// inline when the live rows sum to less than kSerialCutoffRows.
-  void RunMorsels(const std::vector<size_t>& live, ExecMetrics* metrics,
-                  const std::function<void(size_t, size_t, size_t)>& fn);
-
   ClusterConfig cluster_;
   int threads_;
-  /// Live rows per intra-partition morsel.
-  size_t morsel_size_;
   std::unique_ptr<WorkerPool> pool_;  ///< created lazily by RunPartitions
   int64_t pool_passes_ = 0;           ///< see pool_passes()
   /// Spool materializations, keyed by plan node identity so a shared spool
@@ -243,7 +226,7 @@ class Executor {
   /// `node`, then evicts run-local entries (lowest recompute-cost x reuse
   /// benefit first, oldest on ties) until the budget holds. Runs only on the
   /// master DAG-walk thread; eviction order depends only on the plan and the
-  /// walk order, so it is bit-identical across thread and morsel settings.
+  /// walk order, so it is bit-identical across thread counts.
   void TrackSpoolInsert(const PhysicalNode* node, int64_t bytes,
                         ExecMetrics* metrics);
   /// Bumps the run-local reuse counter of `node`'s spool entry.

@@ -78,19 +78,18 @@ inline uint8_t MaskCmp3(const CmpWants& w, int c) {
 /// stay in L1 alongside the key column, large enough to amortize the call.
 constexpr size_t kSelectBlock = 1024;
 
-/// First-predicate selection over physical rows [begin, rows): `fill` writes
+/// First-predicate selection over physical rows [0, rows): `fill` writes
 /// a 0/1 byte mask for one block (the auto-vectorized compare loop), then
 /// the passing indices are appended branchlessly — sel[w] = i; w += mask[i]
 /// — so a selectivity-dependent branch never enters the hot loop.
 template <typename MaskFill>
-void DenseSelect(size_t begin, size_t rows, SelectionVector* sel,
-                 const MaskFill& fill) {
+void DenseSelect(size_t rows, SelectionVector* sel, const MaskFill& fill) {
   sel->clear();
-  sel->resize(rows - begin);
+  sel->resize(rows);
   uint32_t* out = sel->data();
   size_t w = 0;
   uint8_t mask[kSelectBlock];
-  for (size_t base = begin; base < rows; base += kSelectBlock) {
+  for (size_t base = 0; base < rows; base += kSelectBlock) {
     const size_t n = std::min(rows - base, kSelectBlock);
     fill(base, n, mask);
     for (size_t i = 0; i < n; ++i) {
@@ -116,17 +115,15 @@ void SparseSelect(SelectionVector* sel, const PassFn& pass) {
   sel->resize(w);
 }
 
-/// Generic fallback: runs `pass(i)` over rows [begin, rows) (first
+/// Generic fallback: runs `pass(i)` over rows [0, rows) (first
 /// predicate) or over the current selection, compacting it in place. Used
 /// by the string and mixed-rep paths that cannot vectorize anyway.
 template <typename PassFn>
-void RunSelect(size_t begin, size_t rows, bool first, SelectionVector* sel,
-               PassFn pass) {
+void RunSelect(size_t rows, bool first, SelectionVector* sel, PassFn pass) {
   if (first) {
     sel->clear();
-    sel->reserve(rows - begin);
-    for (uint32_t i = static_cast<uint32_t>(begin);
-         i < static_cast<uint32_t>(rows); ++i) {
+    sel->reserve(rows);
+    for (uint32_t i = 0; i < static_cast<uint32_t>(rows); ++i) {
       if (pass(i)) sel->push_back(i);
     }
     return;
@@ -180,13 +177,12 @@ Value EvalBinaryValue(ScalarExpr::BinOp op, const Value& l, const Value& r) {
 
 }  // namespace
 
-void HashColumnCells(const ColumnVector& col, size_t begin, size_t end,
-                     uint64_t* h) {
+void HashColumnCells(const ColumnVector& col, size_t n, uint64_t* h) {
   switch (col.rep()) {
     case ColumnRep::kInt64: {
       const int64_t* d = col.ints().data();
       // simd-guard: hash-mix-int64
-      for (size_t i = begin; i < end; ++i) {
+      for (size_t i = 0; i < n; ++i) {
         h[i] = HashCombine(h[i], Mix64(static_cast<uint64_t>(d[i])));
       }
       break;
@@ -194,7 +190,7 @@ void HashColumnCells(const ColumnVector& col, size_t begin, size_t end,
     case ColumnRep::kDouble: {
       const double* d = col.doubles().data();
       // simd-guard: hash-mix-double
-      for (size_t i = begin; i < end; ++i) {
+      for (size_t i = 0; i < n; ++i) {
         double v = d[i] == 0.0 ? 0.0 : d[i];  // -0.0 normalize, as Value::Hash
         uint64_t bits;
         __builtin_memcpy(&bits, &v, sizeof(bits));
@@ -204,14 +200,14 @@ void HashColumnCells(const ColumnVector& col, size_t begin, size_t end,
     }
     case ColumnRep::kString: {
       const std::vector<std::string>& d = col.strings();
-      for (size_t i = begin; i < end; ++i) {
+      for (size_t i = 0; i < n; ++i) {
         h[i] = HashCombine(h[i], Fnv1a64(d[i]));
       }
       break;
     }
     case ColumnRep::kValue: {
       const std::vector<Value>& d = col.values();
-      for (size_t i = begin; i < end; ++i) {
+      for (size_t i = 0; i < n; ++i) {
         h[i] = HashCombine(h[i], d[i].Hash());
       }
       break;
@@ -233,7 +229,7 @@ bool PredicatePassCells(CompareOp op, const Value& l, const Value& r) {
 
 void SelectByPredicate(const ColumnVector& lhs, const ColumnVector* rhs,
                        const Value& literal, CompareOp op, size_t rows,
-                       bool first, SelectionVector* sel, size_t begin) {
+                       bool first, SelectionVector* sel) {
   const ColumnVector& l = lhs;
   const ColumnVector* rcol = rhs;
   const Value& lit = literal;
@@ -251,7 +247,7 @@ void SelectByPredicate(const ColumnVector& lhs, const ColumnVector* rhs,
     if (rcol != nullptr) {
       const int64_t* b = rcol->ints().data();
       if (first) {
-        DenseSelect(begin, rows, sel,
+        DenseSelect(rows, sel,
                     [&](size_t base, size_t n, uint8_t* mask) {
                       const int64_t* pa = a + base;
                       const int64_t* pb = b + base;
@@ -268,7 +264,7 @@ void SelectByPredicate(const ColumnVector& lhs, const ColumnVector* rhs,
     } else {
       const int64_t b = lit.as_int();
       if (first) {
-        DenseSelect(begin, rows, sel,
+        DenseSelect(rows, sel,
                     [&](size_t base, size_t n, uint8_t* mask) {
                       const int64_t* pa = a + base;
                       // simd-guard: predicate-mask-int64-lit
@@ -290,7 +286,7 @@ void SelectByPredicate(const ColumnVector& lhs, const ColumnVector* rhs,
     const int64_t* a = l.ints().data();
     const double b = lit.AsNumeric();
     if (first) {
-      DenseSelect(begin, rows, sel, [&](size_t base, size_t n, uint8_t* mask) {
+      DenseSelect(rows, sel, [&](size_t base, size_t n, uint8_t* mask) {
         const int64_t* pa = a + base;
         // Branchless but unguarded: the s64->f64 lane convert needs
         // AVX-512DQ, which the CI vectorization baseline does not assume.
@@ -316,7 +312,7 @@ void SelectByPredicate(const ColumnVector& lhs, const ColumnVector* rhs,
     if (rcol != nullptr) {
       const double* b = rcol->doubles().data();
       if (first) {
-        DenseSelect(begin, rows, sel,
+        DenseSelect(rows, sel,
                     [&](size_t base, size_t n, uint8_t* mask) {
                       const double* pa = a + base;
                       const double* pb = b + base;
@@ -333,7 +329,7 @@ void SelectByPredicate(const ColumnVector& lhs, const ColumnVector* rhs,
     } else {
       const double b = lit.AsNumeric();
       if (first) {
-        DenseSelect(begin, rows, sel,
+        DenseSelect(rows, sel,
                     [&](size_t base, size_t n, uint8_t* mask) {
                       const double* pa = a + base;
                       // simd-guard: predicate-mask-double-lit
@@ -354,12 +350,12 @@ void SelectByPredicate(const ColumnVector& lhs, const ColumnVector* rhs,
   // Value ordering reduce to Cmp3.
   if (NumericRep(lr) && NumericRep(rr)) {
     if (rcol != nullptr) {
-      RunSelect(begin, rows, first, sel, [&](uint32_t i) {
+      RunSelect(rows, first, sel, [&](uint32_t i) {
         return PassOp(op, Cmp3(NumericAt(l, i), NumericAt(*rcol, i)));
       });
     } else {
       const double b = lit.AsNumeric();
-      RunSelect(begin, rows, first, sel, [&](uint32_t i) {
+      RunSelect(rows, first, sel, [&](uint32_t i) {
         return PassOp(op, Cmp3(NumericAt(l, i), b));
       });
     }
@@ -370,13 +366,13 @@ void SelectByPredicate(const ColumnVector& lhs, const ColumnVector* rhs,
     const std::vector<std::string>& a = l.strings();
     if (rcol != nullptr) {
       const std::vector<std::string>& b = rcol->strings();
-      RunSelect(begin, rows, first, sel, [&](uint32_t i) {
+      RunSelect(rows, first, sel, [&](uint32_t i) {
         int c = a[i].compare(b[i]);
         return PassOp(op, (c > 0) - (c < 0));
       });
     } else {
       const std::string& b = lit.as_string();
-      RunSelect(begin, rows, first, sel, [&](uint32_t i) {
+      RunSelect(rows, first, sel, [&](uint32_t i) {
         int c = a[i].compare(b);
         return PassOp(op, (c > 0) - (c < 0));
       });
@@ -384,7 +380,7 @@ void SelectByPredicate(const ColumnVector& lhs, const ColumnVector* rhs,
     return;
   }
   // Mixed-rep columns or string/numeric pairs: the generic Value rules.
-  RunSelect(begin, rows, first, sel, [&](uint32_t i) {
+  RunSelect(rows, first, sel, [&](uint32_t i) {
     Value lv = l.ValueAt(i);
     Value rv = rcol != nullptr ? rcol->ValueAt(i) : lit;
     return PassOp(op, CmpPredicateValues(lv, rv));

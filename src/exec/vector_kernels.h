@@ -14,16 +14,10 @@ namespace scx {
 /// start a hash accumulator identically to HashRowKey.
 inline constexpr uint64_t kRowKeySeed = 0x2545f4914f6cdd1dULL;
 
-/// Combines column `col`'s cells [begin, end) into the per-row hash
-/// accumulators `h[begin..end)` — one HashCombine link of the HashRowKey
-/// chain, typed loops per rep, bit-identical to
-/// HashCombine(h[i], ValueAt(i).Hash()). The range form lets morsel jobs
-/// hash disjoint slices of one shared accumulator array.
-void HashColumnCells(const ColumnVector& col, size_t begin, size_t end,
-                     uint64_t* h);
-inline void HashColumnCells(const ColumnVector& col, size_t n, uint64_t* h) {
-  HashColumnCells(col, 0, n, h);
-}
+/// Combines column `col`'s first `n` cells into the per-row hash
+/// accumulators `h[0..n)` — one HashCombine link of the HashRowKey chain,
+/// typed loops per rep, bit-identical to HashCombine(h[i], ValueAt(i).Hash()).
+void HashColumnCells(const ColumnVector& col, size_t n, uint64_t* h);
 
 /// Key hash of every batch row over the `positions` columns — bit-identical
 /// to HashRowKey(row, positions) on the source rows. Columns are hashed
@@ -37,11 +31,10 @@ void HashColumns(const ColumnBatch& batch, const std::vector<int>& positions,
 /// Used for residual join predicates evaluated per candidate pair.
 bool PredicatePassCells(CompareOp op, const Value& l, const Value& r);
 
-/// Applies `lhs op (rhs | literal)` over physical rows [begin, rows),
-/// narrowing `sel`: when `first`, fills sel with all passing row indices of
-/// the range; otherwise keeps only the already selected rows that also pass
-/// (so a pre-seeded sel from an upstream filter is intersected, never
-/// widened — `begin` is ignored, the selection is the range).
+/// Applies `lhs op (rhs | literal)` over physical rows [0, rows),
+/// narrowing `sel`: when `first`, fills sel with all passing row indices;
+/// otherwise keeps only the already selected rows that also pass (so a
+/// pre-seeded sel from an upstream filter is intersected, never widened).
 /// `rhs == nullptr` selects the literal side. Comparison semantics are
 /// exactly BoundPredicate::Evaluate's: mixed int/double compares
 /// numerically, otherwise the canonical Value ordering applies.
@@ -52,7 +45,7 @@ bool PredicatePassCells(CompareOp op, const Value& l, const Value& r);
 /// the selective paths compact in place without branching on the outcome.
 void SelectByPredicate(const ColumnVector& lhs, const ColumnVector* rhs,
                        const Value& literal, CompareOp op, size_t rows,
-                       bool first, SelectionVector* sel, size_t begin = 0);
+                       bool first, SelectionVector* sel);
 
 /// Applies `pred` over the batch, intersecting into `sel`. Positions are
 /// pre-resolved by the caller (rhs_pos < 0 means the literal side). A thin

@@ -1,6 +1,7 @@
 #include "testing/diff_harness.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -19,27 +20,52 @@ namespace scx {
 namespace {
 
 Result<ExecMetrics> RunPlan(const PhysicalNodePtr& plan, int machines,
-                            int exec_threads, int morsel_size = 0,
+                            int exec_threads,
                             const FaultPlan* fault = nullptr) {
   ClusterConfig cluster;
   cluster.machines = machines;
   cluster.exec_threads = exec_threads;
-  cluster.morsel_size = morsel_size;
   if (fault != nullptr) cluster.fault_plan = *fault;
   Executor executor(cluster);
   return executor.Execute(plan);
 }
 
+/// Bitwise comparison of two raw output sets: the same paths, and per path
+/// the same rows in the same order, cell for cell of the same type, doubles
+/// by their bits (so a NaN matches the NaN with the same bits).
+bool SameRawOutputs(const std::map<std::string, std::vector<Row>>& a,
+                    const std::map<std::string, std::vector<Row>>& b) {
+  auto same_cell = [](const Value& x, const Value& y) {
+    if (x.type() != y.type()) return false;
+    if (!x.is_double()) return x == y;
+    return std::bit_cast<uint64_t>(x.as_double()) ==
+           std::bit_cast<uint64_t>(y.as_double());
+  };
+  auto same_row = [&](const Row& x, const Row& y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end(), same_cell);
+  };
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [&](const auto& x, const auto& y) {
+                      return x.first == y.first &&
+                             std::equal(x.second.begin(), x.second.end(),
+                                        y.second.begin(), y.second.end(),
+                                        same_row);
+                    });
+}
+
+/// Per-script raw outputs of two merged runs, compared with SameRawOutputs.
+bool SameRawScriptOutputs(
+    const std::vector<std::map<std::string, std::vector<Row>>>& a,
+    const std::vector<std::map<std::string, std::vector<Row>>>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), SameRawOutputs);
+}
+
 /// Full bitwise comparison of two executions (counters AND raw rows — the
-/// determinism contract of docs/architecture.md §12/§15). The morsel
-/// counters are compared only when both runs used the same morsel size
-/// (`same_morsel_size`); every other counter is invariant to the morsel
-/// and thread knobs. The fault counters are compared only when both runs
-/// used the same FaultPlan (`same_fault_plan`): a clean run injects and
-/// recovers nothing.
+/// determinism contract of docs/architecture.md §12/§15). The fault
+/// counters are compared only when both runs used the same FaultPlan
+/// (`same_fault_plan`): a clean run injects and recovers nothing.
 bool MetricsEqual(const ExecMetrics& a, const ExecMetrics& b,
-                  bool same_morsel_size, bool same_fault_plan,
-                  std::string* why) {
+                  bool same_fault_plan, std::string* why) {
 #define SCX_CMP(field)                                                  \
   if (a.field != b.field) {                                             \
     *why = #field ": " + std::to_string(a.field) + " vs " +             \
@@ -61,10 +87,7 @@ bool MetricsEqual(const ExecMetrics& a, const ExecMetrics& b,
   SCX_CMP(cross_query_spool_hits)
   SCX_CMP(batches_evaluated)
   SCX_CMP(exprs_deduped)
-  if (same_morsel_size) {
-    SCX_CMP(morsels_evaluated)
-    SCX_CMP(morsel_steal_count)
-  }
+  SCX_CMP(morsels_evaluated)
   if (same_fault_plan) {
     SCX_CMP(machine_failures_injected)
     SCX_CMP(partitions_recovered)
@@ -74,7 +97,7 @@ bool MetricsEqual(const ExecMetrics& a, const ExecMetrics& b,
     SCX_CMP(sim_makespan_ticks)
   }
 #undef SCX_CMP
-  if (a.outputs != b.outputs) {
+  if (!SameRawOutputs(a.outputs, b.outputs)) {
     *why = "raw output rows differ";
     return false;
   }
@@ -95,7 +118,7 @@ std::string DescribeOutputDiff(const ExecMetrics& expected,
              " rows, plan " + std::to_string(it->second.size());
     }
     for (size_t i = 0; i < rows.size(); ++i) {
-      if (rows[i] != it->second[i]) {
+      if (CanonicalCompare(rows[i], it->second[i]) != 0) {
         return "path " + path + ": first canonical divergence at row " +
                std::to_string(i);
       }
@@ -419,48 +442,11 @@ std::optional<DiffHarness::Failure> DiffHarness::RunOracles(
                      "cse parallel: " + cse_par_run.status().ToString()};
     }
     std::string why;
-    if (!MetricsEqual(*cse_run, *cse_par_run, /*same_morsel_size=*/true,
-                      /*same_fault_plan=*/true, &why)) {
+    if (!MetricsEqual(*cse_run, *cse_par_run, /*same_fault_plan=*/true,
+                      &why)) {
       return Failure{"exec-determinism",
                      std::to_string(opts_.threads) +
                          "-thread execution diverged from serial: " + why};
-    }
-  }
-
-  // Oracle 3c: the morsel size never changes results — outputs and every
-  // non-morsel counter match the default-morsel serial run at degenerate
-  // (1), adversarial (prime), and whole-partition (huge) morsel sizes, at
-  // one and at opts_.threads threads.
-  for (int morsel_size : {1, 61, 1 << 30}) {
-    auto morsel_run = RunPlan(cse->plan(), opts_.machines,
-                              /*exec_threads=*/1, morsel_size);
-    if (!morsel_run.ok()) {
-      return Failure{"execute", "cse morsel_size=" +
-                                    std::to_string(morsel_size) + ": " +
-                                    morsel_run.status().ToString()};
-    }
-    std::string why;
-    if (!MetricsEqual(*cse_run, *morsel_run, /*same_morsel_size=*/false,
-                      /*same_fault_plan=*/true, &why)) {
-      return Failure{"morsel-identity",
-                     "morsel_size=" + std::to_string(morsel_size) +
-                         " diverged from the default morsel size: " + why};
-    }
-    if (opts_.threads > 1) {
-      auto morsel_par = RunPlan(cse->plan(), opts_.machines, opts_.threads,
-                                morsel_size);
-      if (!morsel_par.ok()) {
-        return Failure{"execute", "cse parallel morsel_size=" +
-                                      std::to_string(morsel_size) + ": " +
-                                      morsel_par.status().ToString()};
-      }
-      if (!MetricsEqual(*morsel_run, *morsel_par, /*same_morsel_size=*/true,
-                        /*same_fault_plan=*/true, &why)) {
-        return Failure{"exec-determinism",
-                       "morsel_size=" + std::to_string(morsel_size) + ", " +
-                           std::to_string(opts_.threads) +
-                           "-thread execution diverged from serial: " + why};
-      }
     }
   }
 
@@ -473,15 +459,15 @@ std::optional<DiffHarness::Failure> DiffHarness::RunOracles(
     // partition and stays bit-identical to the clean baseline — raw output
     // rows and every legacy counter (recovery is side-effect-free; the new
     // fault counters are strictly additive).
-    auto fault_run = RunPlan(cse->plan(), opts_.machines, /*exec_threads=*/1,
-                             /*morsel_size=*/0, &fp);
+    auto fault_run =
+        RunPlan(cse->plan(), opts_.machines, /*exec_threads=*/1, &fp);
     if (!fault_run.ok()) {
       return Failure{"execute",
                      "cse faulted: " + fault_run.status().ToString()};
     }
     std::string why;
-    if (!MetricsEqual(*cse_run, *fault_run, /*same_morsel_size=*/true,
-                      /*same_fault_plan=*/false, &why)) {
+    if (!MetricsEqual(*cse_run, *fault_run, /*same_fault_plan=*/false,
+                      &why)) {
       return Failure{"fault-identity",
                      "faulted run diverged from the clean run: " + why};
     }
@@ -497,39 +483,22 @@ std::optional<DiffHarness::Failure> DiffHarness::RunOracles(
     }
 
     // Oracle 8b, "fault-determinism": the faulted run itself — fault
-    // counters included — is bit-identical across the thread knob, and at
-    // an adversarial morsel size it still reproduces the clean
-    // baseline's legacy counters and raw outputs.
+    // counters included — is bit-identical across the thread knob.
     if (opts_.threads > 1) {
-      auto fault_par = RunPlan(cse->plan(), opts_.machines, opts_.threads,
-                               /*morsel_size=*/0, &fp);
+      auto fault_par =
+          RunPlan(cse->plan(), opts_.machines, opts_.threads, &fp);
       if (!fault_par.ok()) {
         return Failure{"execute", "cse faulted parallel: " +
                                       fault_par.status().ToString()};
       }
-      if (!MetricsEqual(*fault_run, *fault_par, /*same_morsel_size=*/true,
-                        /*same_fault_plan=*/true, &why)) {
+      if (!MetricsEqual(*fault_run, *fault_par, /*same_fault_plan=*/true,
+                        &why)) {
         return Failure{"fault-determinism",
                        std::to_string(opts_.threads) +
                            "-thread faulted execution diverged from the "
                            "serial faulted run: " + why};
       }
     }
-    {
-      auto fault_knob = RunPlan(cse->plan(), opts_.machines, opts_.threads,
-                                /*morsel_size=*/53, &fp);
-      if (!fault_knob.ok()) {
-        return Failure{"execute", "cse faulted knob run: " +
-                                      fault_knob.status().ToString()};
-      }
-      if (!MetricsEqual(*cse_run, *fault_knob, /*same_morsel_size=*/false,
-                        /*same_fault_plan=*/false, &why)) {
-        return Failure{"fault-identity",
-                       "faulted run at morsel_size=53 "
-                       "diverged from the clean baseline: " + why};
-      }
-    }
-
     // Oracle 9, "recovery-cost": recovery through surviving spools must
     // never recompute more rows or move more bytes than the pure-recompute
     // strategy (the disable_recovery_spool_reads arm), while both arms stay
@@ -538,14 +507,14 @@ std::optional<DiffHarness::Failure> DiffHarness::RunOracles(
     {
       FaultPlan pure = fp;
       pure.disable_recovery_spool_reads = true;
-      auto pure_run = RunPlan(cse->plan(), opts_.machines,
-                              /*exec_threads=*/1, /*morsel_size=*/0, &pure);
+      auto pure_run =
+          RunPlan(cse->plan(), opts_.machines, /*exec_threads=*/1, &pure);
       if (!pure_run.ok()) {
         return Failure{"execute", "cse faulted pure-recompute: " +
                                       pure_run.status().ToString()};
       }
-      if (!MetricsEqual(*cse_run, *pure_run, /*same_morsel_size=*/true,
-                        /*same_fault_plan=*/false, &why)) {
+      if (!MetricsEqual(*cse_run, *pure_run, /*same_fault_plan=*/false,
+                        &why)) {
         return Failure{"recovery-cost",
                        "pure-recompute recovery diverged from the clean "
                        "run: " + why};
@@ -661,22 +630,6 @@ int64_t BytesMoved(const ExecMetrics& m) {
   return m.bytes_extracted + m.bytes_shuffled + m.bytes_spooled;
 }
 
-/// Per-path row-sorted copy of one script's demultiplexed outputs. The
-/// merged plan may legally reorder rows within an (unordered) sink — the
-/// sharing decisions change exchange shapes — so the sequential-equivalence
-/// comparison is canonical, like oracle 1; raw order is still pinned by the
-/// knob and resubmission probes, which compare merged runs to merged runs.
-std::map<std::string, std::vector<Row>> CanonicalScriptOutputs(
-    const std::map<std::string, std::vector<Row>>& outputs) {
-  std::map<std::string, std::vector<Row>> out;
-  for (const auto& [path, rows] : outputs) {
-    std::vector<Row> sorted = rows;
-    std::sort(sorted.begin(), sorted.end());
-    out.emplace(path, std::move(sorted));
-  }
-  return out;
-}
-
 }  // namespace
 
 OracleReport DiffHarness::CheckBatch(const Catalog& catalog,
@@ -704,6 +657,11 @@ OracleReport DiffHarness::CheckBatch(const Catalog& catalog,
   // alone. Engine::Execute never touches the cross-query cache, so this is
   // exactly the single-script behaviour batching must reproduce.
   Engine seq_engine(catalog, cfg);
+  // The merged plan may legally reorder rows within an (unordered) sink —
+  // the sharing decisions change exchange shapes — so the comparison with
+  // the sequential runs is canonical, like oracle 1; raw order is still
+  // pinned by the knob and resubmission probes, which compare merged runs
+  // to merged runs.
   std::vector<std::map<std::string, std::vector<Row>>> seq_outputs;
   int64_t seq_bytes = 0;
   for (size_t i = 0; i < scripts.size(); ++i) {
@@ -721,7 +679,7 @@ OracleReport DiffHarness::CheckBatch(const Catalog& catalog,
       return fail("batch-execute", tag + run.status().ToString());
     }
     seq_bytes += BytesMoved(*run);
-    seq_outputs.push_back(CanonicalScriptOutputs(run->outputs));
+    seq_outputs.push_back(std::move(run->outputs));
   }
 
   // Batched arm: one merged submission on a fresh engine (cold cache).
@@ -737,7 +695,7 @@ OracleReport DiffHarness::CheckBatch(const Catalog& catalog,
                     " scripts, submitted " + std::to_string(scripts.size()));
   }
   for (size_t i = 0; i < scripts.size(); ++i) {
-    if (CanonicalScriptOutputs(batch->script_outputs[i]) != seq_outputs[i]) {
+    if (!SameOutputs(batch->script_outputs[i], seq_outputs[i])) {
       return fail("batch-vs-sequential",
                   "script " + std::to_string(i) +
                       ": batched outputs differ from running it alone");
@@ -752,11 +710,10 @@ OracleReport DiffHarness::CheckBatch(const Catalog& catalog,
   }
 
   // Determinism probe: the merged run is bit-identical (outputs and every
-  // knob-invariant counter) under thread count and morsel changes.
+  // counter) at opts_.threads executor threads.
   {
     OptimizerConfig kcfg = cfg;
     kcfg.cluster.exec_threads = opts_.threads;
-    kcfg.cluster.morsel_size = 53;
     Engine knob_engine(catalog, kcfg);
     auto knob = knob_engine.SubmitBatch(scripts, OptimizerMode::kCse);
     if (!knob.ok()) {
@@ -765,14 +722,12 @@ OracleReport DiffHarness::CheckBatch(const Catalog& catalog,
     }
     std::string why;
     if (!MetricsEqual(batch->metrics, knob->metrics,
-                      /*same_morsel_size=*/false,
-                      /*same_fault_plan=*/false, &why)) {
+                      /*same_fault_plan=*/true, &why)) {
       return fail("batch-determinism",
                   "merged run diverged at threads=" +
-                      std::to_string(opts_.threads) +
-                      " morsel_size=53: " + why);
+                      std::to_string(opts_.threads) + ": " + why);
     }
-    if (knob->script_outputs != batch->script_outputs) {
+    if (!SameRawScriptOutputs(knob->script_outputs, batch->script_outputs)) {
       return fail("batch-determinism",
                   "per-script outputs diverged under knob changes");
     }
@@ -787,7 +742,8 @@ OracleReport DiffHarness::CheckBatch(const Catalog& catalog,
       return fail("batch-execute",
                   "resubmission: " + again.status().ToString());
     }
-    if (again->script_outputs != batch->script_outputs) {
+    if (!SameRawScriptOutputs(again->script_outputs,
+                              batch->script_outputs)) {
       return fail("batch-vs-sequential",
                   "resubmission through the warm cross-query cache changed "
                   "per-script outputs");
@@ -817,13 +773,13 @@ OracleReport DiffHarness::CheckBatch(const Catalog& catalog,
     }
     std::string why;
     if (!MetricsEqual(batch->metrics, faulted->metrics,
-                      /*same_morsel_size=*/true,
                       /*same_fault_plan=*/false, &why)) {
       return fail("fault-identity",
                   "merged faulted run diverged from the clean merged run: " +
                       why);
     }
-    if (faulted->script_outputs != batch->script_outputs) {
+    if (!SameRawScriptOutputs(faulted->script_outputs,
+                              batch->script_outputs)) {
       return fail("fault-identity",
                   "merged faulted run changed per-script outputs");
     }

@@ -26,7 +26,7 @@ struct HarnessOptions {
   std::string corpus_dir;
   /// When Enabled(), the fault-oracle family (8 and 9) also runs: faulted
   /// executions of the CSE plan must be bit-identical to the clean runs in
-  /// outputs and every legacy counter, at any thread/morsel knobs
+  /// outputs and every legacy counter, at any thread count
   /// ("fault-identity" / "fault-determinism"), and recovery served by
   /// surviving spools must never move more bytes than pure recomputation
   /// ("recovery-cost"). Oracles 1-7 always run clean.
@@ -41,7 +41,7 @@ struct HarnessOptions {
 ///       the single-machine reference evaluator computes over the bound
 ///       logical DAG; see testing/reference_eval.h)
 ///   (2) cost claim     -> "cost"
-///   (3) determinism    -> "exec-determinism" / "morsel-identity"
+///   (3) determinism    -> "exec-determinism"
 ///   (4) plan hygiene   -> "validate" / "roundtrip"
 /// plus pipeline failures "compile" / "optimize" / "execute" (a generated
 /// script must never fail to compile, optimize, or run).
@@ -63,9 +63,8 @@ struct OracleReport {
 ///      non-decreasing on its order keys (CheckOutputOrder);
 ///   2. estimated cost of the CSE plan <= conventional (paper Fig. 6/7);
 ///   3. serial and multi-threaded execution of the CSE plan are
-///      bit-identical (same ExecMetrics counters and raw output rows), and
-///      so are runs at degenerate, prime and whole-partition morsel sizes
-///      (every counter but the two morsel counters);
+///      bit-identical (same ExecMetrics counters and raw output rows, doubles
+///      compared by their bits);
 ///   4. both plans pass ValidatePlan and their JSON serialization survives a
 ///      parse -> serialize round-trip byte for byte.
 /// On failure it greedily minimizes the script (drop outputs -> drop
@@ -81,12 +80,12 @@ class DiffHarness {
                      uint64_t seed = 0) const;
 
   /// Oracle 7, "batch-vs-sequential": submitting `scripts` through
-  /// Engine::SubmitBatch as one merged run must (a) produce per-script raw
-  /// outputs bit-identical to executing each script alone in kCse mode, (b)
-  /// move no more bytes (shuffled + spooled) than the sequential runs
-  /// combined, (c) stay bit-identical under thread-count and morsel-size
-  /// changes, and (d) reproduce identical outputs on resubmission
-  /// through the warmed cross-query spool cache. Failures are reproducible
+  /// Engine::SubmitBatch as one merged run must (a) produce per-script
+  /// outputs equal (as canonical row sets) to executing each script alone
+  /// in kCse mode, (b) move no more bytes (shuffled + spooled) than the
+  /// sequential runs combined, (c) stay bit-identical under a thread-count
+  /// change, and (d) reproduce identical outputs on resubmission through
+  /// the warmed cross-query spool cache. Failures are reproducible
   /// from the seed alone (no multi-script minimizer / corpus writer).
   OracleReport CheckBatch(const Catalog& catalog,
                           const std::vector<std::string>& scripts,

@@ -203,21 +203,16 @@ TEST(CrossQueryCacheTest, BatchedOutputsInvariantAcrossExecutionKnobs) {
   }
 
   for (int threads : {1, 4}) {
-    for (int morsel : {0, 7, 61}) {
-      OptimizerConfig config = SmallCluster();
-      config.cluster.exec_threads = threads;
-      config.cluster.morsel_size = morsel;
-      Engine engine(batch.catalog, config);
-      auto merged = engine.SubmitBatch(batch.scripts);
-      ASSERT_TRUE(merged.ok())
-          << "threads=" << threads << " morsel=" << morsel << ": "
-          << merged.status().ToString();
-      ASSERT_EQ(merged->script_outputs.size(), expected.size());
-      for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(Canonical(merged->script_outputs[i]), expected[i])
-            << "script " << i << " diverged at threads=" << threads
-            << " morsel=" << morsel;
-      }
+    OptimizerConfig config = SmallCluster();
+    config.cluster.exec_threads = threads;
+    Engine engine(batch.catalog, config);
+    auto merged = engine.SubmitBatch(batch.scripts);
+    ASSERT_TRUE(merged.ok())
+        << "threads=" << threads << ": " << merged.status().ToString();
+    ASSERT_EQ(merged->script_outputs.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(Canonical(merged->script_outputs[i]), expected[i])
+          << "script " << i << " diverged at threads=" << threads;
     }
   }
 }

@@ -82,40 +82,44 @@ TEST(EngineTest, DiagnosticsExposed) {
 TEST(EngineTest, ExecMetricsToJsonCarriesEveryCounter) {
   // Regression for the scx_cli --json --execute surface: the JSON must
   // carry every ExecMetrics counter, including the vectorized-pipeline ones
-  // (batches_evaluated / exprs_deduped / morsel counters) next to the spool
-  // counters.
-  OptimizerConfig config;
-  config.cluster.machines = 4;
-  Engine engine(MakeExecutionCatalog(2000), config);
-  auto compiled = engine.Compile(kScriptS1);
-  ASSERT_TRUE(compiled.ok());
-  auto optimized = engine.Optimize(*compiled, OptimizerMode::kCse);
-  ASSERT_TRUE(optimized.ok());
-  auto metrics = engine.Execute(*optimized);
-  ASSERT_TRUE(metrics.ok());
+  // (batches_evaluated / exprs_deduped / morsels_evaluated) next to the
+  // spool counters, at 1 and at 4 executor threads.
+  for (int threads : {1, 4}) {
+    OptimizerConfig config;
+    config.cluster.machines = 4;
+    config.cluster.exec_threads = threads;
+    Engine engine(MakeExecutionCatalog(2000), config);
+    auto compiled = engine.Compile(kScriptS1);
+    ASSERT_TRUE(compiled.ok());
+    auto optimized = engine.Optimize(*compiled, OptimizerMode::kCse);
+    ASSERT_TRUE(optimized.ok());
+    auto metrics = engine.Execute(*optimized);
+    ASSERT_TRUE(metrics.ok());
 
-  std::string json = ExecMetricsToJson(*metrics);
-  for (const char* key :
-       {"\"rows_extracted\":", "\"rows_shuffled\":", "\"bytes_shuffled\":",
-        "\"bytes_spooled\":", "\"rows_spooled\":", "\"spool_executions\":",
-        "\"spool_reads\":", "\"spool_cache_hits\":",
-        "\"operator_invocations\":", "\"rows_output\":",
-        "\"batches_evaluated\":", "\"exprs_deduped\":",
-        "\"morsels_evaluated\":", "\"morsel_steal_count\":"}) {
-    EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
+    std::string json = ExecMetricsToJson(*metrics);
+    for (const char* key :
+         {"\"rows_extracted\":", "\"rows_shuffled\":", "\"bytes_shuffled\":",
+          "\"bytes_spooled\":", "\"rows_spooled\":", "\"spool_executions\":",
+          "\"spool_reads\":", "\"spool_cache_hits\":",
+          "\"operator_invocations\":", "\"rows_output\":",
+          "\"batches_evaluated\":", "\"exprs_deduped\":",
+          "\"morsels_evaluated\":"}) {
+      EXPECT_NE(json.find(key), std::string::npos)
+          << key << " in " << json << " at threads=" << threads;
+    }
+    EXPECT_EQ(json.front(), '{');
+    EXPECT_EQ(json.back(), '}');
+    // Counter values round-trip: spot-check the two batch counters against
+    // the struct.
+    EXPECT_NE(json.find("\"batches_evaluated\":" +
+                        std::to_string(metrics->batches_evaluated)),
+              std::string::npos);
+    EXPECT_NE(json.find("\"exprs_deduped\":" +
+                        std::to_string(metrics->exprs_deduped)),
+              std::string::npos);
+    EXPECT_GT(metrics->batches_evaluated, 0);
+    EXPECT_GT(metrics->morsels_evaluated, 0);
   }
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  // Counter values round-trip: spot-check the two batch counters against
-  // the struct.
-  EXPECT_NE(json.find("\"batches_evaluated\":" +
-                      std::to_string(metrics->batches_evaluated)),
-            std::string::npos);
-  EXPECT_NE(json.find("\"exprs_deduped\":" +
-                      std::to_string(metrics->exprs_deduped)),
-            std::string::npos);
-  EXPECT_GT(metrics->batches_evaluated, 0);
-  EXPECT_GT(metrics->morsels_evaluated, 0);
 }
 
 TEST(EngineTest, ClusterWithoutMachinesIsInvalidArgument) {

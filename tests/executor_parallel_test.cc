@@ -1,16 +1,16 @@
 // Intra-query parallel determinism: executing the SAME physical plan with a
 // worker pool must be bit-identical to the serial run — every ExecMetrics
 // counter AND the raw (uncanonicalized) output rows. This is the contract
-// documented in docs/architecture.md §12/§15: partition and (partition,
-// morsel) jobs write only their own output slot and all merges happen in
-// fixed partition/morsel order, so neither thread count nor morsel size can
-// ever change results. Runs under tsan in CI with SCX_NUM_THREADS=4 and an
-// odd SCX_MORSEL_SIZE.
+// documented in docs/architecture.md §12/§15: each partition-parallel job
+// writes only its own partition's slot and all merges happen in fixed
+// partition order, so the thread count can never change results. Runs
+// under tsan in CI with SCX_NUM_THREADS=4.
 //
 // Passes over fewer than Executor::kSerialCutoffRows live rows run inline
 // at any thread count, so the small-input cases below check the inline
-// side only; SerialCutoffBothSidesBitIdentical and
-// EveryOperatorKindMatchesSerialOnThePool size their inputs above the
+// side only; SerialCutoffBothSidesBitIdentical,
+// EveryOperatorKindMatchesSerialOnThePool and
+// MergeExchangeSortMatchesSerialOnThePool size their inputs above the
 // cutoff and assert that the pool really ran (Executor::pool_passes).
 
 #include <gtest/gtest.h>
@@ -60,11 +60,9 @@ ExecMetrics RunWithCluster(const PlanUnderTest& t, ClusterConfig cluster,
 }
 
 ExecMetrics RunWithThreads(const PlanUnderTest& t, int threads,
-                           int morsel_size = 0,
                            int64_t* pool_passes = nullptr) {
   ClusterConfig cluster;
   cluster.exec_threads = threads;
-  cluster.morsel_size = morsel_size;
   return RunWithCluster(t, cluster, pool_passes);
 }
 
@@ -100,11 +98,8 @@ void ExpectBitIdentical(const PlanUnderTest& t, const ExecMetrics& serial,
   // order), so they too are thread-count invariant.
   EXPECT_EQ(serial.batches_evaluated, parallel.batches_evaluated) << t.name;
   EXPECT_EQ(serial.exprs_deduped, parallel.exprs_deduped) << t.name;
-  // The morsel counters are functions of partition live counts and the
-  // morsel size only — never of the thread schedule.
+  // One scan job per non-empty partition: a function of the data only.
   EXPECT_EQ(serial.morsels_evaluated, parallel.morsels_evaluated) << t.name;
-  EXPECT_EQ(serial.morsel_steal_count, parallel.morsel_steal_count)
-      << t.name;
   // Every counter, including the ones not named above (the JSON form
   // lists them all in declaration order).
   EXPECT_EQ(ExecMetricsToJson(serial), ExecMetricsToJson(parallel))
@@ -184,11 +179,11 @@ TEST(ExecutorParallelTest, ThreadSweepBitIdenticalAndMatchesReference) {
   }
 }
 
-TEST(ExecutorParallelTest, SpoolHeavyMorselSweepPreservesSpoolCounters) {
+TEST(ExecutorParallelTest, SpoolHeavyThreadSweepPreservesSpoolCounters) {
   // A shared aggregate with three consumers: in kCse mode the optimizer
   // spools it, and the column-batch spool cache must account one
-  // execution plus one cache hit per further read — at every morsel size
-  // and thread count, with the reference evaluator's outputs.
+  // execution plus one cache hit per further read — at every thread count,
+  // with the reference evaluator's outputs.
   PlanUnderTest t = OptimizeOnce("S2-spool", MakeExecutionCatalog(4000),
                                  kScriptS2, OptimizerMode::kCse,
                                  /*machines=*/4);
@@ -196,25 +191,24 @@ TEST(ExecutorParallelTest, SpoolHeavyMorselSweepPreservesSpoolCounters) {
   ExecMetrics base = RunWithThreads(t, /*threads=*/1);
   ASSERT_GT(base.spool_cache_hits, 0) << "S2 kCse must share via a spool";
   EXPECT_EQ(base.spool_reads, base.spool_executions + base.spool_cache_hits);
-  ExpectMatchesReference(t, base, "default morsel");
-  for (int morsel_size : {2, 61, 4096}) {
-    ExecMetrics serial = RunWithThreads(t, 1, morsel_size);
-    ExecMetrics parallel = RunWithThreads(t, 4, morsel_size);
-    ExpectBitIdentical(t, serial, parallel);
-    EXPECT_EQ(serial.outputs, base.outputs) << "morsel " << morsel_size;
-    EXPECT_EQ(serial.bytes_spooled, base.bytes_spooled) << morsel_size;
-    EXPECT_EQ(serial.rows_spooled, base.rows_spooled) << morsel_size;
-    EXPECT_EQ(serial.spool_executions, base.spool_executions) << morsel_size;
-    EXPECT_EQ(serial.spool_reads, base.spool_reads) << morsel_size;
-    EXPECT_EQ(serial.spool_cache_hits, base.spool_cache_hits) << morsel_size;
+  ExpectMatchesReference(t, base, "serial");
+  for (int threads : {1, 4}) {
+    ExecMetrics run = RunWithThreads(t, threads);
+    ExpectBitIdentical(t, base, run);
+    EXPECT_EQ(run.outputs, base.outputs) << "threads " << threads;
+    EXPECT_EQ(run.bytes_spooled, base.bytes_spooled) << threads;
+    EXPECT_EQ(run.rows_spooled, base.rows_spooled) << threads;
+    EXPECT_EQ(run.spool_executions, base.spool_executions) << threads;
+    EXPECT_EQ(run.spool_reads, base.spool_reads) << threads;
+    EXPECT_EQ(run.spool_cache_hits, base.spool_cache_hits) << threads;
   }
 }
 
-TEST(ExecutorParallelTest, ExchangeHeavyMorselSweepPreservesShuffleCounters) {
+TEST(ExecutorParallelTest, ExchangeHeavyThreadSweepPreservesShuffleCounters) {
   // Hash exchanges (group-bys over a shared spool) plus a range exchange
-  // (the ORDER BY: columnar quantile boundaries + morsel-binned scatter).
-  // Shuffle accounting and raw rows must not move with the morsel size or
-  // the thread count, and the rows must be the reference evaluator's, in
+  // (the ORDER BY: columnar quantile boundaries + partition-binned
+  // scatter). Shuffle accounting and raw rows must not move with the
+  // thread count, and the rows must be the reference evaluator's, in
   // ORDER BY order.
   const char* script =
       "R0 = EXTRACT A,B,C,D FROM \"test.log\" USING LogExtractor;\n"
@@ -228,67 +222,13 @@ TEST(ExecutorParallelTest, ExchangeHeavyMorselSweepPreservesShuffleCounters) {
   ASSERT_NE(t.plan, nullptr);
   ExecMetrics base = RunWithThreads(t, /*threads=*/1);
   ASSERT_GT(base.rows_shuffled, 0);
-  ExpectMatchesReference(t, base, "default morsel");
-  for (int morsel_size : {2, 61, 4096}) {
-    ExecMetrics serial = RunWithThreads(t, 1, morsel_size);
-    ExecMetrics parallel = RunWithThreads(t, 4, morsel_size);
-    ExpectBitIdentical(t, serial, parallel);
-    EXPECT_EQ(serial.outputs, base.outputs) << "morsel " << morsel_size;
-    EXPECT_EQ(serial.rows_shuffled, base.rows_shuffled) << morsel_size;
-    EXPECT_EQ(serial.bytes_shuffled, base.bytes_shuffled) << morsel_size;
-  }
-}
-
-TEST(ExecutorParallelTest, MorselSizeSweepBitIdenticalAndMatchesReference) {
-  // The morsel contract: outputs and every non-morsel counter are
-  // bit-identical across every morsel size x thread count combination, and
-  // the outputs are the reference evaluator's. At a fixed morsel size the
-  // morsel counters are thread-invariant too (ExpectBitIdentical); across
-  // morsel sizes the batch counters stay fixed (they are functions of live
-  // counts alone) while the morsel counters move.
-  const char* script =
-      "R0 = EXTRACT A,B,C,D FROM \"test.log\" USING LogExtractor;\n"
-      "R  = SELECT A,B,C,Sum(D) AS S FROM R0 GROUP BY A,B,C;\n"
-      "R1 = SELECT A,B,Sum(S) AS S1 FROM R GROUP BY A,B ORDER BY A,B;\n"
-      "R2 = SELECT B,C,Sum(S) AS S2 FROM R WHERE S > 10 GROUP BY B,C;\n"
-      "OUTPUT R1 TO \"result1.out\";\n"
-      "OUTPUT R2 TO \"result2.out\";\n";
-  for (auto [name, text] : {std::make_pair("S4", kScriptS4),
-                            std::make_pair("orderby-filter", script)}) {
-    PlanUnderTest t = OptimizeOnce(name, MakeExecutionCatalog(4000), text,
-                                   OptimizerMode::kCse, /*machines=*/4);
-    ASSERT_NE(t.plan, nullptr) << name;
-    ExecMetrics anchor;  // morsel size 1: maximal morsel fan-out
-    bool have_anchor = false;
-    for (int morsel_size : {1, 61, 4096, 1 << 30}) {
-      ExecMetrics serial = RunWithThreads(t, 1, morsel_size);
-      ExecMetrics parallel = RunWithThreads(t, 4, morsel_size);
-      ExpectBitIdentical(t, serial, parallel);
-      EXPECT_GT(serial.morsels_evaluated, 0) << morsel_size;
-      if (!have_anchor) {
-        ExpectMatchesReference(t, serial, "morsel 1");
-        anchor = std::move(serial);
-        have_anchor = true;
-      } else {
-        EXPECT_EQ(serial.outputs, anchor.outputs)
-            << name << " morsel " << morsel_size;
-        EXPECT_EQ(serial.rows_shuffled, anchor.rows_shuffled) << morsel_size;
-        EXPECT_EQ(serial.bytes_shuffled, anchor.bytes_shuffled)
-            << morsel_size;
-        EXPECT_EQ(serial.rows_output, anchor.rows_output) << morsel_size;
-        // Batch counters do not depend on the morsel size.
-        EXPECT_EQ(serial.batches_evaluated, anchor.batches_evaluated)
-            << name << " morsel " << morsel_size;
-        EXPECT_EQ(serial.exprs_deduped, anchor.exprs_deduped) << morsel_size;
-        // One-row morsels maximize the job count; whole-partition morsels
-        // collapse to one job per non-empty partition (steal count 0).
-        EXPECT_LE(serial.morsels_evaluated, anchor.morsels_evaluated)
-            << morsel_size;
-      }
-      if (morsel_size == 1 << 30) {
-        EXPECT_EQ(serial.morsel_steal_count, 0) << name;
-      }
-    }
+  ExpectMatchesReference(t, base, "serial");
+  for (int threads : {1, 4}) {
+    ExecMetrics run = RunWithThreads(t, threads);
+    ExpectBitIdentical(t, base, run);
+    EXPECT_EQ(run.outputs, base.outputs) << "threads " << threads;
+    EXPECT_EQ(run.rows_shuffled, base.rows_shuffled) << threads;
+    EXPECT_EQ(run.bytes_shuffled, base.bytes_shuffled) << threads;
   }
 }
 
@@ -299,7 +239,7 @@ TEST(ExecutorParallelTest, SerialCutoffBothSidesBitIdentical) {
   // pass after the aggregation (merge exchange, global aggregate, sort,
   // output) sees a few dozen rows and runs inline. Outputs and every
   // counter must be the serial run's on both sides of the cutoff, and the
-  // morsel counters must not depend on which side a pass fell.
+  // scan-job count must not depend on which side a pass fell.
   const char* script =
       "R0 = EXTRACT A,B,D FROM \"test.log\" USING LogExtractor;\n"
       "R1 = SELECT A,Sum(D) AS S,Count(*) AS N FROM R0 GROUP BY A "
@@ -315,17 +255,11 @@ TEST(ExecutorParallelTest, SerialCutoffBothSidesBitIdentical) {
   ASSERT_GE(base.rows_extracted, rows);
   ASSERT_LE(base.outputs.at("result1.out").size(), 8u);
   ExpectMatchesReference(t, base, "serial");
-  for (int morsel_size : {61, 1 << 30}) {
-    int64_t pool_passes = -1;
-    ExecMetrics serial = RunWithThreads(t, 1, morsel_size);
-    ExecMetrics parallel = RunWithThreads(t, 4, morsel_size, &pool_passes);
-    ExpectBitIdentical(t, serial, parallel);
-    EXPECT_GT(pool_passes, 0) << morsel_size;
-    EXPECT_EQ(serial.outputs, base.outputs) << "morsel " << morsel_size;
-    EXPECT_EQ(serial.rows_shuffled, base.rows_shuffled) << morsel_size;
-    EXPECT_EQ(serial.bytes_shuffled, base.bytes_shuffled) << morsel_size;
-    EXPECT_GT(serial.morsels_evaluated, 0) << morsel_size;
-  }
+  EXPECT_GT(base.morsels_evaluated, 0);
+  int64_t pool_passes = -1;
+  ExecMetrics parallel = RunWithThreads(t, 4, &pool_passes);
+  ExpectBitIdentical(t, base, parallel);
+  EXPECT_GT(pool_passes, 0);
 }
 
 // Two logs of 2 x kSerialCutoffRows rows whose A column is near-unique, so
@@ -349,18 +283,16 @@ Catalog MakeAboveCutoffCatalog() {
 TEST(ExecutorParallelTest, EveryOperatorKindMatchesSerialOnThePool) {
   // Each operator kind gets passes of more than kSerialCutoffRows live
   // rows, so at 4 threads they run on the worker pool: extract, the hash
-  // exchanges and every aggregate pass over the union (4 x cutoff rows),
-  // the shared aggregate R (nearly one group per row) and its spool, the
+  // exchanges and the aggregates over the union (4 x cutoff rows), the
+  // shared aggregate R (nearly one group per row) and its spool, the
   // ORDER BY's range exchange and sort over R1 (~1.7 x cutoff groups),
-  // and the hash join's build, probe and output gather (R1 x T1 on A,
-  // ~1.3 x cutoff pairs). The union itself
-  // concatenates on the calling thread. The default and an odd morsel
-  // size, plus a fault-armed run whose recovery recomputes lost
-  // partitions: every output and counter must be the serial run's, and the
-  // outputs the reference evaluator's. All knobs are pinned, so the tsan
-  // job's environment
-  // (1 MiB spool budget, 53-row morsels) does not turn this into thousands
-  // of recomputations and pool jobs per pass.
+  // and the hash join (R1 x T1 on A, ~1.3 x cutoff pairs). The union
+  // itself concatenates on the calling thread. A clean run, plus a
+  // fault-armed run whose recovery recomputes lost partitions: every
+  // output and counter must be the serial run's, and the outputs the
+  // reference evaluator's. The spool budget is pinned, so the tsan job's
+  // environment (1 MiB) does not turn this into thousands of
+  // recomputations.
   const char* script =
       "R0 = EXTRACT A,B,D FROM \"test.log\" USING LogExtractor;\n"
       "T0 = EXTRACT A,B,D FROM \"test2.log\" USING LogExtractor;\n"
@@ -379,25 +311,18 @@ TEST(ExecutorParallelTest, EveryOperatorKindMatchesSerialOnThePool) {
   ClusterConfig cluster;
   cluster.spool_cache_bytes = -1;
   cluster.exec_threads = 1;
-  cluster.morsel_size = 16384;
-  ExecMetrics base = RunWithCluster(t, cluster);
+  int64_t serial_passes = -1, pool_passes = -1;
+  ExecMetrics base = RunWithCluster(t, cluster, &serial_passes);
   ASSERT_GT(base.outputs.at("joined.out").size(),
             static_cast<size_t>(Executor::kSerialCutoffRows));
   ASSERT_GT(base.spool_cache_hits, 0) << "R and R1 must be spooled";
   ExpectMatchesReference(t, base, "serial");
-  for (int morsel_size : {16384, 1021}) {
-    cluster.morsel_size = morsel_size;
-    int64_t serial_passes = -1, pool_passes = -1;
-    cluster.exec_threads = 1;
-    ExecMetrics serial = RunWithCluster(t, cluster, &serial_passes);
-    cluster.exec_threads = 4;
-    ExecMetrics parallel = RunWithCluster(t, cluster, &pool_passes);
-    ExpectBitIdentical(t, serial, parallel);
-    EXPECT_EQ(serial.outputs, base.outputs) << "morsel " << morsel_size;
-    EXPECT_EQ(serial_passes, 0) << "morsel " << morsel_size;
-    EXPECT_GT(pool_passes, 0) << "morsel " << morsel_size;
-  }
-  cluster.morsel_size = 16384;
+  EXPECT_EQ(serial_passes, 0);
+  cluster.exec_threads = 4;
+  ExecMetrics parallel = RunWithCluster(t, cluster, &pool_passes);
+  ExpectBitIdentical(t, base, parallel);
+  EXPECT_GT(pool_passes, 0);
+
   cluster.fault_plan.seed = 7;
   cluster.fault_plan.failure_prob = 0.1;
   cluster.fault_plan.max_failures = 4;
@@ -405,10 +330,75 @@ TEST(ExecutorParallelTest, EveryOperatorKindMatchesSerialOnThePool) {
   ExecMetrics serial = RunWithCluster(t, cluster);
   ASSERT_GT(serial.machine_failures_injected, 0);
   cluster.exec_threads = 4;
-  int64_t pool_passes = -1;
-  ExecMetrics parallel = RunWithCluster(t, cluster, &pool_passes);
+  pool_passes = -1;
+  parallel = RunWithCluster(t, cluster, &pool_passes);
   ExpectBitIdentical(t, serial, parallel);
   EXPECT_EQ(serial.outputs, base.outputs);
+  EXPECT_GT(pool_passes, 0);
+}
+
+/// The first order-preserving merge exchange of the plan DAG, or nullptr.
+PhysicalNodePtr FindMergeExchange(const PhysicalNodePtr& node) {
+  if (node->kind == PhysicalOpKind::kMergeExchange) return node;
+  for (const PhysicalNodePtr& child : node->children) {
+    if (PhysicalNodePtr found = FindMergeExchange(child)) return found;
+  }
+  return nullptr;
+}
+
+TEST(ExecutorParallelTest, MergeExchangeSortMatchesSerialOnThePool) {
+  // The shared aggregate S is sorted on (C,A) below a spool that a hash
+  // join also reads, so the optimizer repartitions S's local aggregate on
+  // A with an order-preserving merge exchange. A is near-unique over 4 x
+  // kSerialCutoffRows rows, so that exchange — its destination pass and
+  // the sort inside it — sees more than 2 x kSerialCutoffRows live rows
+  // and runs on the pool at 4 threads. Outputs and every counter must be
+  // the serial run's, and the outputs the reference evaluator's.
+  const int64_t rows = 4 * Executor::kSerialCutoffRows;
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .RegisterLog("test.log", {"A", "B", "C", "D"}, rows,
+                               {rows, 50, 8, 500}, /*data_seed=*/11)
+                  .ok());
+  const char* script =
+      "E   = EXTRACT A,B,C,D FROM \"test.log\" USING LogExtractor;\n"
+      "S   = SELECT A,C,Sum(D) AS S FROM E GROUP BY A,C;\n"
+      "C0A = SELECT C,Sum(S) AS V FROM S GROUP BY C;\n"
+      "C0B = SELECT C,Min(S) AS V FROM S GROUP BY C;\n"
+      "C0  = UNION ALL C0A,C0B;\n"
+      "C1A = SELECT A,C,Sum(S) AS P FROM S GROUP BY A,C;\n"
+      "C1B = SELECT A,C,Max(S) AS Q FROM S GROUP BY A,C;\n"
+      "C1  = SELECT C1A.A,C1A.C,P,Q FROM C1A,C1B "
+      "WHERE C1A.A=C1B.A AND C1A.C=C1B.C;\n"
+      "C2D = SELECT C,Max(S) AS Cap FROM S GROUP BY C;\n"
+      "C2J = SELECT E.C,D,Cap FROM E,C2D WHERE E.C=C2D.C;\n"
+      "C2  = SELECT C,Sum(D) AS V,Min(Cap) AS W FROM C2J GROUP BY C;\n"
+      "OUTPUT C0 TO \"o0.out\";\n"
+      "OUTPUT C1 TO \"o1.out\";\n"
+      "OUTPUT C2 TO \"o2.out\";\n";
+  PlanUnderTest t = OptimizeOnce("merge-exchange", catalog, script,
+                                 OptimizerMode::kCse, /*machines=*/8);
+  ASSERT_NE(t.plan, nullptr);
+  PhysicalNodePtr merge = FindMergeExchange(t.plan);
+  ASSERT_NE(merge, nullptr) << "the plan must repartition with a merge";
+  // Rows the merge exchange itself moves, and the pool passes it adds: its
+  // sub-plan run at 4 threads with and without it on top.
+  PlanUnderTest below = t;
+  below.plan = merge->children[0];
+  PlanUnderTest with = t;
+  with.plan = merge;
+  int64_t below_passes = -1, with_passes = -1;
+  const int64_t merged_rows =
+      RunWithThreads(with, 4, &with_passes).rows_shuffled -
+      RunWithThreads(below, 4, &below_passes).rows_shuffled;
+  ASSERT_GE(merged_rows, 2 * Executor::kSerialCutoffRows);
+  EXPECT_GT(with_passes, below_passes);
+
+  ExecMetrics serial = RunWithThreads(t, 1);
+  ExpectMatchesReference(t, serial, "serial");
+  int64_t pool_passes = -1;
+  ExecMetrics parallel = RunWithThreads(t, 4, &pool_passes);
+  ExpectBitIdentical(t, serial, parallel);
   EXPECT_GT(pool_passes, 0);
 }
 

@@ -373,11 +373,10 @@ std::vector<Row> BitCanonical(std::vector<Row> rows) {
   return rows;
 }
 
-/// Optimizes `script` once and executes the CSE plan at threads {1, 4} x
-/// morsel sizes {61, default}: every run's outputs must equal the reference
-/// evaluation bit for bit (as canonical row sets), and the runs must agree
-/// with each other on the raw output rows and on every counter but the two
-/// morsel counters.
+/// Optimizes `script` once and executes the CSE plan at threads {1, 4}:
+/// every run's outputs must equal the reference evaluation bit for bit (as
+/// canonical row sets), and the runs must agree with each other on the raw
+/// output rows and on every counter.
 void ExpectPlanMatchesReference(const Catalog& catalog,
                                 const std::string& script) {
   Engine engine(catalog, SmallCluster());
@@ -387,16 +386,15 @@ void ExpectPlanMatchesReference(const Catalog& catalog,
   ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
   auto reference = EvaluateReference(compiled->bound.root);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  auto run = [&](int morsel_size, int threads) {
+  auto run = [&](int threads) {
     ClusterConfig cluster = SmallCluster().cluster;
-    cluster.morsel_size = morsel_size;
     cluster.exec_threads = threads;
     Executor executor(cluster);
     auto m = executor.Execute(optimized->plan());
     EXPECT_TRUE(m.ok()) << m.status().ToString();
     return std::move(m.value());
   };
-  const ExecMetrics first = run(61, 1);
+  const ExecMetrics first = run(1);
   ASSERT_EQ(first.outputs.size(), reference->size());
   for (const auto& [path, rows] : *reference) {
     ASSERT_TRUE(first.outputs.count(path)) << path;
@@ -404,21 +402,12 @@ void ExpectPlanMatchesReference(const Catalog& catalog,
                          BitCanonical(rows)))
         << path << ": plan vs reference";
   }
-  for (int morsel_size : {61, 0}) {
-    for (int threads : {1, 4}) {
-      const ExecMetrics b = run(morsel_size, threads);
-      const std::string at = "morsel " + std::to_string(morsel_size) +
-                             " threads " + std::to_string(threads);
-      ASSERT_EQ(b.outputs.size(), first.outputs.size()) << at;
-      for (const auto& [path, out] : first.outputs) {
-        EXPECT_TRUE(SameBits(b.outputs.at(path), out)) << at << " " << path;
-      }
-      ExecMetrics counters = b;
-      counters.morsels_evaluated = first.morsels_evaluated;
-      counters.morsel_steal_count = first.morsel_steal_count;
-      EXPECT_EQ(ExecMetricsToJson(counters), ExecMetricsToJson(first)) << at;
-    }
+  const ExecMetrics parallel = run(4);
+  ASSERT_EQ(parallel.outputs.size(), first.outputs.size());
+  for (const auto& [path, out] : first.outputs) {
+    EXPECT_TRUE(SameBits(parallel.outputs.at(path), out)) << path;
   }
+  EXPECT_EQ(ExecMetricsToJson(parallel), ExecMetricsToJson(first));
 }
 
 const char kTypedExtract[] =

@@ -287,7 +287,7 @@ Catalog DupCatalog() {
 
 /// Runs kDupScript's CSE plan; `reference` receives the reference
 /// evaluation of the bound script when non-null.
-ExecMetrics RunDupScript(int morsel_size, int exec_threads,
+ExecMetrics RunDupScript(int exec_threads,
                          ReferenceOutputs* reference = nullptr) {
   Catalog catalog = DupCatalog();
   OptimizerConfig config;
@@ -306,7 +306,6 @@ ExecMetrics RunDupScript(int morsel_size, int exec_threads,
   ClusterConfig cluster;
   cluster.machines = 4;
   cluster.exec_threads = exec_threads;
-  cluster.morsel_size = morsel_size;
   Executor executor(cluster);
   auto metrics = executor.Execute(optimized->plan());
   EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
@@ -314,7 +313,7 @@ ExecMetrics RunDupScript(int morsel_size, int exec_threads,
 }
 
 TEST(ExprCseExecutionTest, BatchedRunCountsDedupedExprsAndBatches) {
-  ExecMetrics batched = RunDupScript(/*morsel_size=*/0, /*exec_threads=*/1);
+  ExecMetrics batched = RunDupScript(/*exec_threads=*/1);
   // (B+A) and the second (A+B) hit the memo in every Compute invocation.
   EXPECT_GT(batched.exprs_deduped, 0);
   EXPECT_GT(batched.batches_evaluated, 0);
@@ -323,27 +322,26 @@ TEST(ExprCseExecutionTest, BatchedRunCountsDedupedExprsAndBatches) {
 TEST(ExprCseExecutionTest, BatchedExecutionMatchesReference) {
   // The deduplicated expression schedule computes what evaluating every
   // item on its own computes (the reference evaluator runs
-  // ScalarExpr::Evaluate per item), at every morsel size.
+  // ScalarExpr::Evaluate per item), at every thread count.
   ReferenceOutputs reference;
-  ExecMetrics base = RunDupScript(/*morsel_size=*/0, /*exec_threads=*/1,
-                                  &reference);
+  ExecMetrics base = RunDupScript(/*exec_threads=*/1, &reference);
   ExecMetrics expected;
   expected.outputs = std::move(reference);
   EXPECT_TRUE(SameOutputs(expected, base));
-  for (int morsel_size : {2, 3, 256}) {
-    ExecMetrics batched = RunDupScript(morsel_size, /*exec_threads=*/1);
-    EXPECT_EQ(batched.outputs, base.outputs) << "morsel " << morsel_size;
-    EXPECT_EQ(batched.rows_output, base.rows_output) << morsel_size;
-    EXPECT_EQ(batched.rows_shuffled, base.rows_shuffled) << morsel_size;
+  for (int threads : {1, 4}) {
+    ExecMetrics batched = RunDupScript(threads);
+    EXPECT_EQ(batched.outputs, base.outputs) << "threads " << threads;
+    EXPECT_EQ(batched.rows_output, base.rows_output) << threads;
+    EXPECT_EQ(batched.rows_shuffled, base.rows_shuffled) << threads;
     EXPECT_EQ(batched.operator_invocations, base.operator_invocations)
-        << morsel_size;
-    EXPECT_EQ(batched.exprs_deduped, base.exprs_deduped) << morsel_size;
+        << threads;
+    EXPECT_EQ(batched.exprs_deduped, base.exprs_deduped) << threads;
   }
 }
 
 TEST(ExprCseExecutionTest, BatchCountersDeterministicAcrossThreads) {
-  ExecMetrics serial = RunDupScript(/*morsel_size=*/0, /*exec_threads=*/1);
-  ExecMetrics parallel = RunDupScript(/*morsel_size=*/0, /*exec_threads=*/4);
+  ExecMetrics serial = RunDupScript(/*exec_threads=*/1);
+  ExecMetrics parallel = RunDupScript(/*exec_threads=*/4);
   EXPECT_EQ(serial.batches_evaluated, parallel.batches_evaluated);
   EXPECT_EQ(serial.exprs_deduped, parallel.exprs_deduped);
   EXPECT_EQ(serial.outputs, parallel.outputs);

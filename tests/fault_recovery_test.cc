@@ -62,23 +62,18 @@ void ExpectCleanIdentity(const ExecMetrics& clean, const ExecMetrics& faulted,
 // A single machine failure at EVERY pass of the plan — which walks the
 // injection point through every operator class the plan contains (extract,
 // filter, aggregate, exchange, spool, spool-scan, join, ...) — must recover
-// to the clean run, serially and at 4 threads with odd-sized morsels, and
-// every injected failure must be recovered. The clean run itself computes
-// the reference evaluator's outputs.
+// to the clean run, serially and at 4 threads, and every injected failure
+// must be recovered. The clean run itself computes the reference
+// evaluator's outputs.
 TEST(FaultRecoveryTest, FailureAtEveryPassRecoversIdentically) {
-  struct Knobs {
-    int threads, morsel_size;
-  };
-  for (Knobs k : {Knobs{1, 0}, Knobs{4, 53}}) {
+  for (int threads : {1, 4}) {
     OptimizerConfig config = SmallCluster();
-    config.cluster.exec_threads = k.threads;
-    config.cluster.morsel_size = k.morsel_size;
+    config.cluster.exec_threads = threads;
     Engine engine(MakeExecutionCatalog(5000), config);
     LogicalNodePtr logical;
     PhysicalNodePtr plan = CsePlan(&engine, kScriptS1, &logical);
     ASSERT_NE(plan, nullptr);
-    const std::string knobs = "threads=" + std::to_string(k.threads) +
-                              " morsel_size=" + std::to_string(k.morsel_size);
+    const std::string knobs = "threads=" + std::to_string(threads);
 
     Executor clean_exec(config.cluster);
     auto clean = clean_exec.Execute(plan);
@@ -186,7 +181,7 @@ TEST(FaultRecoveryTest, SpoolAssistedRecoveryBoundedByPureRecompute) {
 }
 
 // Randomized fault plans (Bernoulli kills + stragglers) stay bit-identical
-// to the clean baseline at hostile thread/morsel knobs, and the
+// to the clean baseline at 1 and 4 threads, and the
 // faulted run itself is deterministic: same plan, same counters, fault
 // counters included.
 TEST(FaultRecoveryTest, RandomFaultsBitIdenticalAcrossKnobs) {
@@ -209,40 +204,34 @@ TEST(FaultRecoveryTest, RandomFaultsBitIdenticalAcrossKnobs) {
   ExecMetrics reference;
   bool have_reference = false;
   for (int threads : {1, 4}) {
-    for (int morsel_size : {0, 53}) {
-      ClusterConfig cluster = base;
-      cluster.exec_threads = threads;
-      cluster.morsel_size = morsel_size;
-      cluster.fault_plan = fp;
-      Executor exec(cluster);
-      auto faulted = exec.Execute(plan);
-      std::string label = "threads=" + std::to_string(threads) +
-                          " morsel_size=" + std::to_string(morsel_size);
-      ASSERT_TRUE(faulted.ok()) << label;
-      ExpectCleanIdentity(*clean, *faulted, label);
-      EXPECT_EQ(faulted->partitions_recovered,
-                faulted->machine_failures_injected)
-          << label;
-      // Both knob combinations run the batch pipeline, so the fault
-      // counters (pass-structural) must agree exactly across all of them.
-      if (!have_reference) {
-        reference = *faulted;
-        have_reference = true;
-        continue;
-      }
-      EXPECT_EQ(faulted->machine_failures_injected,
-                reference.machine_failures_injected)
-          << label;
-      EXPECT_EQ(faulted->rows_recomputed, reference.rows_recomputed)
-          << label;
-      EXPECT_EQ(faulted->recovery_spool_hits, reference.recovery_spool_hits)
-          << label;
-      EXPECT_EQ(faulted->recovery_bytes_moved,
-                reference.recovery_bytes_moved)
-          << label;
-      EXPECT_EQ(faulted->sim_makespan_ticks, reference.sim_makespan_ticks)
-          << label;
+    ClusterConfig cluster = base;
+    cluster.exec_threads = threads;
+    cluster.fault_plan = fp;
+    Executor exec(cluster);
+    auto faulted = exec.Execute(plan);
+    std::string label = "threads=" + std::to_string(threads);
+    ASSERT_TRUE(faulted.ok()) << label;
+    ExpectCleanIdentity(*clean, *faulted, label);
+    EXPECT_EQ(faulted->partitions_recovered,
+              faulted->machine_failures_injected)
+        << label;
+    // The fault counters are pass-structural, so they must agree exactly
+    // across thread counts.
+    if (!have_reference) {
+      reference = *faulted;
+      have_reference = true;
+      continue;
     }
+    EXPECT_EQ(faulted->machine_failures_injected,
+              reference.machine_failures_injected)
+        << label;
+    EXPECT_EQ(faulted->rows_recomputed, reference.rows_recomputed) << label;
+    EXPECT_EQ(faulted->recovery_spool_hits, reference.recovery_spool_hits)
+        << label;
+    EXPECT_EQ(faulted->recovery_bytes_moved, reference.recovery_bytes_moved)
+        << label;
+    EXPECT_EQ(faulted->sim_makespan_ticks, reference.sim_makespan_ticks)
+        << label;
   }
 }
 

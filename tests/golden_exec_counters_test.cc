@@ -1,12 +1,13 @@
 // Golden executor counters: S1-S4, LS1 and LS2, in conventional and CSE
-// mode on 16 machines, must compute the reference evaluator's outputs
-// (in ORDER BY order) and report exactly the ExecMetricsToJson recorded
-// in testdata/golden/exec_counters.txt. The file was recorded while the
-// executor still carried its row-at-a-time path, after asserting that the
-// row path and the batch pipeline agreed on every shared counter and every
-// raw output row; it pins those counters now that only one pipeline is
-// left. Re-record with SCX_WRITE_GOLDEN=1 only for an intentional change to
-// plans or counter definitions.
+// mode on 16 machines, at 1 and at 4 executor threads, must compute the
+// reference evaluator's outputs (in ORDER BY order) and report exactly the
+// ExecMetricsToJson recorded in testdata/golden/exec_counters.txt. The
+// values were first recorded while the executor still carried its
+// row-at-a-time path, after asserting that the row path and the batch
+// pipeline agreed on every shared counter and every raw output row; later
+// re-recordings only dropped deleted counters. Re-record with
+// SCX_WRITE_GOLDEN=1 only for an intentional change to plans or counter
+// definitions.
 
 #include <gtest/gtest.h>
 
@@ -29,13 +30,12 @@ std::string GoldenPath() {
 }
 
 /// Every knob that moves a counter is pinned, so the environment
-/// (SCX_NUM_THREADS, SCX_MORSEL_SIZE, SCX_SPOOL_CACHE_BYTES) cannot leak in.
+/// (SCX_SPOOL_CACHE_BYTES) cannot leak in. The thread count moves none, and
+/// the test runs each plan at 1 and 4 threads.
 OptimizerConfig PinnedConfig() {
   OptimizerConfig config;
   config.budget_seconds = 1e9;  // plans must not depend on machine speed
   config.cluster.machines = 16;
-  config.cluster.exec_threads = 1;
-  config.cluster.morsel_size = 16384;
   config.cluster.spool_cache_bytes = 256ll << 20;
   return config;
 }
@@ -97,17 +97,25 @@ TEST(GoldenExecCountersTest,
       auto optimized = engine.Optimize(*compiled, mode);
       ASSERT_TRUE(optimized.ok()) << key << ": "
                                   << optimized.status().ToString();
-      auto metrics = engine.Execute(*optimized);
-      ASSERT_TRUE(metrics.ok()) << key << ": " << metrics.status().ToString();
-      EXPECT_TRUE(SameOutputs(expected, *metrics)) << key << " vs reference";
-      Status order = CheckOutputOrder(compiled->bound.root, metrics->outputs);
-      EXPECT_TRUE(order.ok()) << key << ": " << order.ToString();
-      const std::string json = ExecMetricsToJson(*metrics);
-      recorded << key << " " << json << "\n";
-      if (write) continue;
-      auto it = golden.find(key);
-      ASSERT_NE(it, golden.end()) << key << " missing from " << GoldenPath();
-      EXPECT_EQ(it->second, json) << key;
+      for (int threads : {1, 4}) {
+        ClusterConfig cluster = PinnedConfig().cluster;
+        cluster.exec_threads = threads;
+        auto metrics = Executor(cluster).Execute(optimized->plan());
+        const std::string at = key + " threads=" + std::to_string(threads);
+        ASSERT_TRUE(metrics.ok()) << at << ": "
+                                  << metrics.status().ToString();
+        EXPECT_TRUE(SameOutputs(expected, *metrics)) << at << " vs reference";
+        Status order =
+            CheckOutputOrder(compiled->bound.root, metrics->outputs);
+        EXPECT_TRUE(order.ok()) << at << ": " << order.ToString();
+        const std::string json = ExecMetricsToJson(*metrics);
+        if (threads == 1) recorded << key << " " << json << "\n";
+        if (write) continue;
+        auto it = golden.find(key);
+        ASSERT_NE(it, golden.end()) << key << " missing from "
+                                    << GoldenPath();
+        EXPECT_EQ(it->second, json) << at;
+      }
     }
   }
   if (write) {

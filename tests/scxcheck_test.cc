@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <string>
+#include <tuple>
 
 #include "api/engine.h"
 #include "testing/catalog_text.h"
@@ -94,6 +96,43 @@ TEST(ScxCheckEdgeCases, DuplicateOutputScriptsPass) {
   ScriptGenOptions gen = SmokeGenOptions();
   gen.force_duplicate_outputs = true;
   CheckSeeds(92001, 12, gen, "duplicate-output");
+}
+
+TEST(ScxCheckEdgeCases, NaNOutputsPassAllOracles) {
+  // The NaN-key script of AggregateKeyTest.NaNKeysMatchReference plus an
+  // OUTPUT of its NaN rows: X * 1e300 * 1e300 overflows to inf for every
+  // X != 0, so Q = inf - inf is NaN there. The determinism oracles compare
+  // raw rows bitwise, so a NaN must match the NaN with the same bits; the
+  // batch oracle compares canonical row sets, where all NaNs are equal.
+  FileDef file;
+  file.path = "typed.log";
+  file.row_count = 12;
+  file.data_seed = 5;
+  for (auto [name, type, ndv] :
+       {std::tuple{"K", DataType::kString, 300},
+        std::tuple{"X", DataType::kDouble, 40},
+        std::tuple{"A", DataType::kInt64, 8},
+        std::tuple{"D", DataType::kInt64, 500}}) {
+    ColumnStats col;
+    col.name = name;
+    col.type = type;
+    col.distinct_count = ndv;
+    file.columns.push_back(col);
+  }
+  Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterFile(file).ok());
+  const std::string big = "1" + std::string(300, '0') + ".0";
+  const std::string script =
+      "R0 = EXTRACT K,X,A,D FROM \"typed.log\" USING X;\n"
+      "N = SELECT D,X*" + big + "*" + big + "-X*" + big + "*" + big +
+      " AS Q FROM R0;\n"
+      "G = SELECT Q,Count(*) AS C,Sum(D) AS S FROM N GROUP BY Q;\n"
+      "OUTPUT G TO \"g\";\nOUTPUT N TO \"n\";";
+  DiffHarness harness(SmokeOptions());
+  OracleReport report = harness.Check(catalog, script);
+  EXPECT_TRUE(report.ok) << report.oracle << ": " << report.detail;
+  OracleReport batch = harness.CheckBatch(catalog, {script, script});
+  EXPECT_TRUE(batch.ok) << batch.oracle << ": " << batch.detail;
 }
 
 TEST(ScxCheckEdgeCases, GeneratorIsDeterministic) {

@@ -5,17 +5,16 @@
 // Usage:
 //   scx_cli --catalog CATFILE --script SCRIPTFILE
 //           [--mode conv|naive|cse] [--machines N] [--budget SECONDS]
-//           [--threads N] [--morsel N] [--spool-cache BYTES]
+//           [--threads N] [--spool-cache BYTES]
 //           [--fault-seed N] [--fault-prob P] [--fault-max N]
 //           [--straggler-prob P] [--straggler-factor F] [--no-recovery-spools]
 //           [--compare] [--execute] [--quiet]
 //
 // --machines sets the simulated cluster size (a positive integer).
 // --threads sets the executor's worker threads (cluster.exec_threads; the
-// optimizer always runs its rounds serially). --morsel sets the live rows
-// per intra-partition morsel (0 = default / SCX_MORSEL_SIZE env); results
-// are identical at every thread count and morsel size. --spool-cache
-// bounds the bytes held for spooled intermediates (0 = default /
+// optimizer always runs its rounds serially); results are identical at
+// every thread count. --spool-cache bounds the bytes held for spooled
+// intermediates (0 = default /
 // SCX_SPOOL_CACHE_BYTES env / 256 MiB; negative = unlimited); evictions
 // surface as spool_bytes_evicted. The --fault-*/--straggler-* flags arm a
 // FaultPlan (hostile-cluster simulation, docs/architecture.md §17): seeded
@@ -138,13 +137,6 @@ int Main(int argc, char** argv) {
         std::fprintf(stderr, "scx: --threads needs a positive integer\n");
         return 2;
       }
-    } else if (arg == "--morsel") {
-      int n = std::atoi(next());
-      if (n < 0) {
-        std::fprintf(stderr, "scx: --morsel needs a non-negative integer\n");
-        return 2;
-      }
-      config.cluster.morsel_size = n;
     } else if (arg == "--spool-cache") {
       // Byte budget for spooled intermediates (run-local and cross-query).
       // 0 = default (SCX_SPOOL_CACHE_BYTES or 256 MiB), negative =
@@ -174,7 +166,7 @@ int Main(int argc, char** argv) {
       std::printf(
           "usage: scx_cli --catalog FILE --script FILE [--mode conv|naive|"
           "cse]\n              [--machines N] [--budget S] [--threads N] "
-          "[--morsel N]\n              [--spool-cache BYTES] "
+          "[--spool-cache BYTES]\n              "
           "[--fault-seed N] [--fault-prob P]\n              [--fault-max N] "
           "[--straggler-prob P] [--straggler-factor F]\n              "
           "[--no-recovery-spools] [--compare] [--execute] [--quiet] "
@@ -273,10 +265,8 @@ int Main(int argc, char** argv) {
     std::printf("  batches        : %lld evaluated, %lld exprs deduped\n",
                 static_cast<long long>(metrics->batches_evaluated),
                 static_cast<long long>(metrics->exprs_deduped));
-    std::printf("  morsels        : %lld evaluated, %lld beyond "
-                "one-per-partition\n",
-                static_cast<long long>(metrics->morsels_evaluated),
-                static_cast<long long>(metrics->morsel_steal_count));
+    std::printf("  scan jobs      : %lld\n",
+                static_cast<long long>(metrics->morsels_evaluated));
     if (config.cluster.fault_plan.Enabled()) {
       std::printf("  faults         : %lld machines killed, %lld "
                   "partitions recovered\n",

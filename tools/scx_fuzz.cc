@@ -3,7 +3,7 @@
 // Generates seeded random multi-output DAG scripts with deliberate
 // structural sharing and checks each against the oracles (conventional and
 // cse plans both execute to the reference evaluator's outputs; cse cost <=
-// conventional; serial == parallel and morsel-size-invariant execution;
+// conventional; serial == parallel execution;
 // plan validity + JSON round-trip). On failure the script is greedily
 // minimized and the repro written to a corpus directory.
 //
@@ -23,7 +23,7 @@
 // iteration generates a BATCH of scripts with shared library modules and
 // checks the batch-vs-sequential oracle: merged submission is bit-identical
 // per script to running each alone, moves no more bytes, and is invariant
-// to thread/morsel knobs and to cross-query cache warmth) | hostile
+// to the thread count and to cross-query cache warmth) | hostile
 // (hostile-cluster simulation: power-law key skew piles rows onto a few
 // machines, stragglers stretch the simulated makespan, and a per-seed
 // FaultPlan kills machines mid-run at operator-pass granularity; the fault
