@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,11 @@ struct PayoffCell {
   int scripts;
   uint64_t seed;
 };
+
+// Prints a cell as its name. Without this gtest prints the struct's raw
+// bytes, which include the name pointer, so the listed test names (and the
+// ctest names discovered from them) would change with the load address.
+void PrintTo(const PayoffCell& cell, std::ostream* os) { *os << cell.name; }
 
 GeneratedBatch HighOverlapBatch(const PayoffCell& cell) {
   BatchGenOptions gen;
