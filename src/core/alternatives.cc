@@ -1,17 +1,16 @@
-#include "core/round_task.h"
+// The optimizer's physical search (paper Algorithm 5): implementation and
+// enforcer alternatives of one group under one requirement.
+
+#include "core/optimizer.h"
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
 
-#include "core/round_scheduler.h"
-
 namespace scx {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Chooses the sort order a stream aggregate will produce: the required
 /// output order extended by the remaining grouping columns. Fails when the
@@ -135,145 +134,75 @@ std::optional<PartitioningReq> CombinePartReq(const PartitioningReq& parent,
   return std::nullopt;
 }
 
-/// Nonzero seed of every phase-2 enforcement signature of a group with
-/// shared groups below — keeps those cache keys distinct from the phase-1
-/// signature 0 even when the current assignment touches none of them
-/// (phase-1 winners of such groups embed unenforced spools).
-constexpr uint64_t kPhase2SigSeed = 0x9e3779b97f4a7c15ULL;
-
 }  // namespace
 
-RoundTask::RoundTask(OptimizationContext* ctx, RoundScheduler* scheduler)
-    : ctx_(ctx), build_ctx_(ctx), scheduler_(scheduler) {}
+/// Streaming replacement for a collect-then-scan candidate vector: keeps the
+/// running cheapest alternative under the mode's objective, with the exact
+/// tie rule of a scan (strict `<`, first wins).
+/// Under DAG costing it first compares the candidate's precomputed
+/// cost_lb — own cost + the largest child cost_lb, filled in by
+/// MakePhysicalNode, so the check is O(children) with no DAG walk ever
+/// (an earlier version used own cost + the largest child DagCost, whose
+/// memoized walks were cold for the fresh enforcer/spool intermediates
+/// every round mints) — against the running best, and skips the
+/// candidate's full DAG walk when the bound already rules it out
+/// (DagCost(p) >= p->own_cost + DagCost(child) >= p->own_cost +
+/// child->cost_lb for every child, by induction from the leaves).
+/// The skip only drops candidates whose true cost is >= the running
+/// best, which the strict-`<` rule would have rejected anyway, so winner
+/// and cost are bit-identical to the unpruned scan — and because the
+/// bound is a pure function of the candidate, the pruned count is
+/// deterministic too.
+class Optimizer::AltAccumulator {
+ public:
+  AltAccumulator(OptimizerMode mode, OptCacheCounters* c)
+      : mode_(mode), counters_(c) {}
 
-void RoundTask::BeginPhase2() {
-  phase_ = 2;
-  build_ctx_ = nullptr;  // the context is frozen; only const reads from here
-}
-
-const std::optional<PhysicalNodePtr>* RoundTask::FindWinner(
-    const WinnerKey& key) const {
-  auto it = winners_.find(key);
-  return it != winners_.end() ? &it->second : nullptr;
-}
-
-const PhysicalNodePtr* RoundTask::FindSpool(const SpoolKey& key) const {
-  auto it = spool_bases_.find(key);
-  return it != spool_bases_.end() ? &it->second : nullptr;
-}
-
-void RoundTask::InstallAssignment(const RoundAssignment& assignment) {
-  for (const auto& [s, idx] : assignment) enforced_[s] = idx;
-  ++enforce_epoch_;
-}
-
-void RoundTask::RemoveAssignment(const RoundAssignment& assignment) {
-  for (const auto& [s, idx] : assignment) enforced_.erase(s);
-  ++enforce_epoch_;
-}
-
-uint64_t RoundTask::EnforcementSig(GroupId g) {
-  if (phase_ == 1 || ctx_->shared_info() == nullptr) return 0;
-  const std::vector<GroupId>& below = ctx_->SharedBelowSorted(g);
-  if (below.empty()) return 0;
-  size_t i = static_cast<size_t>(g);
-  if (sig_memo_.size() <= i) {
-    size_t n = static_cast<size_t>(ctx_->memo().num_groups());
-    sig_memo_.resize(n > i ? n : i + 1, {0, 0});
-  }
-  if (sig_memo_[i].first == enforce_epoch_) return sig_memo_[i].second;
-  uint64_t sig = kPhase2SigSeed;
-  for (GroupId sg : below) {
-    auto it = enforced_.find(sg);
-    if (it == enforced_.end()) continue;
-    sig = HashCombine(
-        sig, (static_cast<uint64_t>(static_cast<uint32_t>(sg)) << 32) |
-                 static_cast<uint32_t>(it->second));
-  }
-  sig_memo_[i] = {enforce_epoch_, sig};
-  return sig;
-}
-
-PhysicalNodePtr RoundTask::OptimizeGroup(GroupId g, const RequiredProps& req) {
-  WinnerKey key{g, ctx_->InternProps(req), EnforcementSig(g)};
-  if (const std::optional<PhysicalNodePtr>* hit = FindWinner(key)) {
-    ++counters_.winner_hits;
-    return hit->has_value() ? **hit : nullptr;
-  }
-  ++counters_.winner_misses;
-
-  if (phase_ == 1 && ctx_->mode() == OptimizerMode::kCse &&
-      ctx_->memo().group(g).is_shared() && build_ctx_ != nullptr) {
-    build_ctx_->RecordHistory(g, req);
-  }
-
-  PhysicalNodePtr plan;
-  if (phase_ == 2 && enforced_.count(g) != 0) {
-    plan = OptimizeSharedEnforced(g, req);
-  } else if (phase_ == 2 && ctx_->shared_info() != nullptr &&
-             in_rounds_.count(g) == 0 && !scheduler_->budget_exhausted() &&
-             !ctx_->shared_info()->SharedGroupsWithLca(g).empty()) {
-    plan = scheduler_->RunRoundsAt(this, g, req);
-  } else {
-    plan = LogPhysOpt(g, req);
-  }
-
-  if (phase_ == 1 && ctx_->mode() == OptimizerMode::kCse &&
-      ctx_->memo().group(g).is_shared() && plan != nullptr &&
-      build_ctx_ != nullptr) {
-    build_ctx_->CreditDelivered(g, plan->delivered);
-  }
-
-  winners_[key] = plan;
-  return plan;
-}
-
-PhysicalNodePtr RoundTask::SpoolBase(GroupId g, int entry_index) {
-  GroupId child = ctx_->memo().group(g).initial_expr().children[0];
-  // Nested enforcement below the spool can change the base across outer
-  // rounds; include the child's enforcement signature in the key.
-  SpoolKey full_key{g, entry_index, EnforcementSig(child)};
-  if (const PhysicalNodePtr* hit = FindSpool(full_key)) {
-    ++counters_.spool_hits;
-    return *hit;
-  }
-  ++counters_.spool_misses;
-
-  RequiredProps eprops;  // trivial for the naive-sharing sentinel entry
-  if (entry_index != kNaiveEntryIndex) {
-    const PropertyHistory* h = ctx_->HistoryOf(g);
-    if (h != nullptr && entry_index < h->size()) {
-      eprops = h->entry(entry_index).props;
+  void Consider(PhysicalNodePtr p) {
+    if (p == nullptr) return;
+    if (mode_ == OptimizerMode::kConventional) {
+      double c = TreeCost(p);  // O(1): precomputed at node build
+      if (c < best_cost_) {
+        best_cost_ = c;
+        best_ = std::move(p);
+      }
+      return;
+    }
+    if (best_ != nullptr && p->cost_lb >= best_cost_) {
+      ++counters_->pruned_alternatives;
+      return;
+    }
+    double c = DagCost(p);
+    if (c < best_cost_) {
+      best_cost_ = c;
+      best_ = std::move(p);
     }
   }
-  PhysicalNodePtr cp = OptimizeGroup(child, eprops);
-  PhysicalNodePtr spool;
-  if (cp != nullptr) {
-    double write = ctx_->cost_model().SpoolWrite(StatsOf(child),
-                                                 cp->delivered.partitioning);
-    spool = MakePhysicalNode(PhysicalOpKind::kSpool,
-                             ctx_->memo().group(g).initial_expr().op, g, {cp},
-                             cp->delivered, write);
-    spool->extra_consumer_cost = ctx_->cost_model().SpoolRead(
-        StatsOf(child), cp->delivered.partitioning);
-  }
-  spool_bases_[full_key] = spool;
-  return spool;
-}
 
-PhysicalNodePtr RoundTask::OptimizeSharedEnforced(GroupId g,
+  /// Cost of the best candidate; +inf when there is none.
+  double best_cost() const { return best_cost_; }
+  PhysicalNodePtr TakeBest() { return std::move(best_); }
+
+ private:
+  OptimizerMode mode_;
+  PhysicalNodePtr best_;
+  double best_cost_ = std::numeric_limits<double>::infinity();
+  OptCacheCounters* counters_;
+};
+
+PhysicalNodePtr Optimizer::OptimizeSharedEnforced(GroupId g,
                                                   const RequiredProps& req) {
   PhysicalNodePtr base = SpoolBase(g, enforced_.at(g));
   if (base == nullptr) return nullptr;
-  AltAccumulator acc(ctx_->mode(), kInf, &counters_);
+  AltAccumulator acc(ctx_.mode(), &diag_.cache);
   WrapEnforcersOverBase(g, base, req, &acc);
   return acc.TakeBest();
 }
 
-void RoundTask::WrapEnforcersOverBase(GroupId g, const PhysicalNodePtr& base,
+void Optimizer::WrapEnforcersOverBase(GroupId g, const PhysicalNodePtr& base,
                                       const RequiredProps& req,
                                       AltAccumulator* acc) {
-  const CostModel& cost_model = ctx_->cost_model();
+  const CostModel& cost_model = ctx_.cost_model();
   const GroupStats& stats = StatsOf(g);
   if (PropertySatisfied(req, base->delivered)) {
     acc->Consider(base);
@@ -328,7 +257,7 @@ void RoundTask::WrapEnforcersOverBase(GroupId g, const PhysicalNodePtr& base,
     return;
   }
 
-  for (ColumnSet& cols : ctx_->EnforceCandidates(req.partitioning)) {
+  for (ColumnSet& cols : ctx_.EnforceCandidates(req.partitioning)) {
     // Order-preserving exchange when the spool already delivers the order.
     if (!req.sort.Empty() &&
         base->delivered.sort.SatisfiesPrefix(req.sort)) {
@@ -359,19 +288,19 @@ void RoundTask::WrapEnforcersOverBase(GroupId g, const PhysicalNodePtr& base,
   }
 }
 
-PhysicalNodePtr RoundTask::LogPhysOpt(GroupId g, const RequiredProps& req,
-                                      double* out_cost, double bound) {
-  if (build_ctx_ != nullptr) build_ctx_->EnsureExplored(g);
-  AltAccumulator acc(ctx_->mode(), bound, &counters_);
-  if (ctx_->frozen()) {
+PhysicalNodePtr Optimizer::LogPhysOpt(GroupId g, const RequiredProps& req,
+                                      double* out_cost) {
+  AltAccumulator acc(ctx_.mode(), &diag_.cache);
+  if (phase_ == 2) {
     // Frozen memo: iterate in place, no rule can append.
-    for (const GroupExpr& expr : ctx_->memo().group(g).exprs()) {
+    for (const GroupExpr& expr : ctx_.memo().group(g).exprs()) {
       ImplementExpr(g, expr, req, &acc);
     }
   } else {
+    ctx_.EnsureExplored(g);
     // Copy: nested OptimizeGroup calls may add expressions to other groups
     // (and rules could add to this one) while we iterate.
-    std::vector<GroupExpr> exprs = ctx_->memo().group(g).exprs();
+    std::vector<GroupExpr> exprs = ctx_.memo().group(g).exprs();
     for (const GroupExpr& expr : exprs) {
       ImplementExpr(g, expr, req, &acc);
     }
@@ -381,9 +310,9 @@ PhysicalNodePtr RoundTask::LogPhysOpt(GroupId g, const RequiredProps& req,
   return acc.TakeBest();
 }
 
-void RoundTask::ImplementExpr(GroupId g, const GroupExpr& expr,
+void Optimizer::ImplementExpr(GroupId g, const GroupExpr& expr,
                               const RequiredProps& req, AltAccumulator* acc) {
-  const CostModel& cost_model = ctx_->cost_model();
+  const CostModel& cost_model = ctx_.cost_model();
   const LogicalNode& op = *expr.op;
   auto push_if_valid = [&](PhysicalNodePtr node) {
     if (node != nullptr && PropertySatisfied(req, node->delivered)) {
@@ -615,9 +544,9 @@ void RoundTask::ImplementExpr(GroupId g, const GroupExpr& expr,
   }
 }
 
-void RoundTask::ImplementJoin(GroupId g, const GroupExpr& expr,
+void Optimizer::ImplementJoin(GroupId g, const GroupExpr& expr,
                               const RequiredProps& req, AltAccumulator* acc) {
-  const CostModel& cost_model = ctx_->cost_model();
+  const CostModel& cost_model = ctx_.cost_model();
   const LogicalNode& op = *expr.op;
   GroupId left = expr.children[0];
   GroupId right = expr.children[1];
@@ -712,7 +641,7 @@ void RoundTask::ImplementJoin(GroupId g, const GroupExpr& expr,
     // The replicated build side spans the whole cluster, so this variant
     // does not produce serial plans (Gather-based alternatives cover that).
     if (req.partitioning.kind != PartReqKind::kSerial) {
-      ColumnSet left_schema_cols = ctx_->memo().group(left).schema().IdSet();
+      ColumnSet left_schema_cols = ctx_.memo().group(left).schema().IdSet();
       RequiredProps lreq;
       if (req.partitioning.cols.IsSubsetOf(left_schema_cols)) {
         lreq.partitioning = req.partitioning;
@@ -790,9 +719,9 @@ void RoundTask::ImplementJoin(GroupId g, const GroupExpr& expr,
   }
 }
 
-void RoundTask::EnforceAlternatives(GroupId g, const RequiredProps& req,
+void Optimizer::EnforceAlternatives(GroupId g, const RequiredProps& req,
                                     AltAccumulator* acc) {
-  const CostModel& cost_model = ctx_->cost_model();
+  const CostModel& cost_model = ctx_.cost_model();
   const GroupStats& stats = StatsOf(g);
 
   // Sort enforcer: satisfy the partitioning first, then sort in place.
@@ -851,7 +780,7 @@ void RoundTask::EnforceAlternatives(GroupId g, const RequiredProps& req,
     return;
   }
 
-  for (ColumnSet& cols : ctx_->EnforceCandidates(req.partitioning)) {
+  for (ColumnSet& cols : ctx_.EnforceCandidates(req.partitioning)) {
     // Plain hash repartition (destroys order) + optional sort above.
     RequiredProps relaxed{PartitioningReq::None(), {}};
     PhysicalNodePtr inner = OptimizeGroup(g, relaxed);

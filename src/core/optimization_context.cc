@@ -73,7 +73,6 @@ double OptimizationContext::PlanCost(const PhysicalNodePtr& plan) const {
 }
 
 void OptimizationContext::EnsureExplored(GroupId g) {
-  if (frozen_) return;  // phase 2 never mutates the memo
   if (!explored_.insert(g).second) return;
   std::vector<GroupExpr> snapshot = memo_.group(g).exprs();
 
@@ -249,8 +248,6 @@ void OptimizationContext::Freeze() {
                                                           below.end());
     }
   }
-
-  frozen_ = true;
 }
 
 }  // namespace scx

@@ -76,8 +76,8 @@ struct OptCacheCounters {
   /// Candidate plans abandoned because a cost lower bound already matched
   /// or exceeded the running best (never changes the winner).
   long pruned_alternatives = 0;
-  /// Phase-2 rounds abandoned whole because every alternative exceeded the
-  /// best cost already observed in the round's independence class.
+  /// Always 0: round-level pruning is gone. Kept only because perfbench
+  /// reads it (`core.pruned_rounds`); it goes at the next benchmark change.
   long pruned_rounds = 0;
   long interner_size = 0;  ///< distinct RequiredProps values interned
 };
@@ -119,23 +119,24 @@ struct OptimizeResult {
   OptimizeDiagnostics diagnostics;
 };
 
-/// Everything an optimization run reads that is not specific to one round:
+/// Everything one optimization run reads that is not specific to one round:
 /// the memo, the column registry, the estimator/cost model, the shared-group
-/// info, and the phase-1 property histories.
+/// info, and the phase-1 property histories. Each Optimizer owns its own
+/// context; nothing in it is shared between runs or threads.
 ///
 /// Lifecycle: during phase 1 the context is under construction — exploration
 /// rules append memo expressions, requirements are recorded into histories,
 /// the estimator derives NDVs. Freeze() then (a) ranks histories
 /// (Sec. VIII-C), (b) explores every reachable group to fixpoint so phase 2
 /// never mutates the memo, and (c) precomputes the sorted shared-below
-/// sets the enforcement signature walks. After Freeze() the context is
-/// immutable.
+/// sets the enforcement signature walks. After Freeze() only the props
+/// interner still grows.
 class OptimizationContext {
  public:
   OptimizationContext(Memo memo, ColumnRegistryPtr columns,
                       OptimizerConfig config);
 
-  // --- build phase (single-threaded, before Freeze) ---
+  // --- build phase (before Freeze) ---
 
   Memo& mutable_memo() { return memo_; }
   void set_mode(OptimizerMode mode) { mode_ = mode; }
@@ -157,11 +158,11 @@ class OptimizationContext {
   void CreditDelivered(GroupId g, const DeliveredProps& delivered);
   /// Runs SharedInfo::Compute over the (restructured) memo.
   void ComputeSharedInfo();
-  /// Rank histories, explore all groups to fixpoint, precompute the sorted
-  /// shared-below sets, and make the context immutable.
+  /// Rank histories, explore all groups to fixpoint, and precompute the
+  /// sorted shared-below sets.
   void Freeze();
 
-  // --- read-only API (safe from any thread once frozen) ---
+  // --- reads ---
 
   const Memo& memo() const { return memo_; }
   OptimizerMode mode() const { return mode_; }
@@ -174,10 +175,9 @@ class OptimizationContext {
   }
   const std::vector<GroupId>& script_roots() const { return script_roots_; }
   const PropertyHistory* HistoryOf(GroupId g) const;
-  /// Interns a property set to its dense run-local id (thread-safe; the
-  /// interner is the one mutable member that stays live after Freeze —
-  /// phase-2 rounds may still encounter new requirement sets).
-  PropsId InternProps(const RequiredProps& props) const {
+  /// Interns a property set to its dense run-local id (stays live after
+  /// Freeze — phase-2 rounds may still meet new requirement sets).
+  PropsId InternProps(const RequiredProps& props) {
     return props_interner_.Intern(props);
   }
   const PropsInterner& props_interner() const { return props_interner_; }
@@ -196,7 +196,6 @@ class OptimizationContext {
   /// Mode-appropriate plan objective (tree cost conventionally, DAG cost
   /// with CSE).
   double PlanCost(const PhysicalNodePtr& plan) const;
-  bool frozen() const { return frozen_; }
 
  private:
   Memo memo_;
@@ -206,14 +205,11 @@ class OptimizationContext {
   CardinalityEstimator estimator_;
   CostModel cost_model_;
   std::map<GroupId, PropertyHistory> history_;
-  /// Thread-safe by construction; mutable so interning stays available
-  /// through the const read-only API after Freeze.
-  mutable PropsInterner props_interner_;
+  PropsInterner props_interner_;
   std::vector<std::vector<GroupId>> shared_below_sorted_;
   std::optional<SharedInfo> shared_;
   std::vector<GroupId> script_roots_;
   std::set<GroupId> explored_;
-  bool frozen_ = false;
 };
 
 }  // namespace scx

@@ -2,9 +2,6 @@
 #define SCX_CORE_PROPS_INTERNER_H_
 
 #include <cstdint>
-#include <deque>
-#include <mutex>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -23,29 +20,18 @@ using PropsId = int32_t;
 /// can key its caches with a 4-byte id instead of a heap-allocated
 /// `req.ToString()` string. Phase-1 requests, history entries, and enforcer
 /// relaxations all pass through here (every request enters via
-/// RoundTask::OptimizeGroup, histories via OptimizationContext::
+/// Optimizer::OptimizeGroup, histories via OptimizationContext::
 /// RecordHistory).
 ///
 /// Interning stays live after the context freezes: phase-2 rounds may meet
 /// requirement sets that only arise under a particular round's enforcement
 /// (e.g. a join follower's requirement pinned to the other side's delivered
-/// scheme).
-/// Thread-safe: lookups take a shared lock; the rare first-time insert
-/// upgrades to an exclusive lock.
+/// scheme). One interner belongs to one run's context and is not
+/// synchronized.
 class PropsInterner {
  public:
   PropsId Intern(const RequiredProps& props) {
-    uint64_t h = props.HashValue();
-    {
-      std::shared_lock<std::shared_mutex> lock(mu_);
-      auto it = ids_.find(h);
-      if (it != ids_.end()) {
-        const PropsId* id = FindExact(it->second, props);
-        if (id != nullptr) return *id;
-      }
-    }
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    std::vector<PropsId>& bucket = ids_[h];
+    std::vector<PropsId>& bucket = ids_[props.HashValue()];
     const PropsId* id = FindExact(bucket, props);
     if (id != nullptr) return *id;
     PropsId fresh = static_cast<PropsId>(by_id_.size());
@@ -54,16 +40,7 @@ class PropsInterner {
     return fresh;
   }
 
-  /// The interned value for `id` (debugging / tests).
-  RequiredProps Get(PropsId id) const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return by_id_[static_cast<size_t>(id)];
-  }
-
-  size_t size() const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return by_id_.size();
-  }
+  size_t size() const { return by_id_.size(); }
 
  private:
   /// Buckets hold every id whose props hash to the same 64-bit value; the
@@ -76,9 +53,8 @@ class PropsInterner {
     return nullptr;
   }
 
-  mutable std::shared_mutex mu_;
   std::unordered_map<uint64_t, std::vector<PropsId>> ids_;
-  std::deque<RequiredProps> by_id_;  // deque: stable under growth
+  std::vector<RequiredProps> by_id_;
 };
 
 }  // namespace scx

@@ -1,5 +1,7 @@
 #include "core/rounds.h"
 
+#include <limits>
+
 namespace scx {
 
 RoundEnumerator::RoundEnumerator(std::vector<std::vector<GroupId>> classes,

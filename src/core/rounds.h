@@ -1,7 +1,6 @@
 #ifndef SCX_CORE_ROUNDS_H_
 #define SCX_CORE_ROUNDS_H_
 
-#include <limits>
 #include <map>
 #include <vector>
 
@@ -41,17 +40,6 @@ class RoundEnumerator {
   /// instead of a wrapped (possibly negative) count. Enumeration itself is
   /// unaffected — the budget/round cap stops it long before.
   long TotalRounds() const { return total_rounds_; }
-
-  /// Cheapest cost reported so far within the class currently being
-  /// enumerated (+inf before the class's first report; resets at every
-  /// class boundary). This is the class-local branch-and-bound bound: a
-  /// finite value implies an earlier round of the SAME class achieved it,
-  /// so a later round abandoned at this bound can never have become the
-  /// class pin or the overall winner.
-  double BestCostInClass() const {
-    return have_best_in_class_ ? best_cost_in_class_
-                               : std::numeric_limits<double>::infinity();
-  }
 
   /// Produces the next assignment; false when enumeration is complete.
   /// After each successful Next(), the caller must call ReportCost() with

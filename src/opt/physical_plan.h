@@ -77,11 +77,10 @@ class PhysicalNode {
 
   /// Memoized DagCost of the sub-DAG rooted here; NaN until the first
   /// DagCost call. Sub-DAGs are immutable once built, so the value is a
-  /// pure function of the node: concurrent phase-2 workers may race to
-  /// store it, but every writer stores the identical double, so relaxed
-  /// ordering is enough. Also serves as an O(children) lower bound for
-  /// fresh parent candidates (DagCost(parent) >= parent->own_cost +
-  /// DagCost(child) for every child).
+  /// pure function of the node. A finished plan outlives its optimizer and
+  /// may be costed from several threads at once; they may race to store
+  /// the value, but every writer stores the identical double, so relaxed
+  /// ordering is enough.
   std::atomic<double> dag_cost_memo{std::numeric_limits<double>::quiet_NaN()};
 
   /// One-line description for plan printing.

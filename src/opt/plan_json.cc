@@ -131,7 +131,6 @@ std::string DiagnosticsToJson(const OptimizeDiagnostics& d) {
   out += ",\"spool_misses\":" + std::to_string(d.cache.spool_misses);
   out += ",\"pruned_alternatives\":" +
          std::to_string(d.cache.pruned_alternatives);
-  out += ",\"pruned_rounds\":" + std::to_string(d.cache.pruned_rounds);
   out += ",\"interner_size\":" + std::to_string(d.cache.interner_size);
   out += "}";
   out += ",\"lca_of\":{";

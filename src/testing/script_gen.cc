@@ -257,8 +257,10 @@ class Generator {
       std::string left = base + "A";
       std::string right = base + "B";
       const std::string& val = rng_.Pick(vals);
+      bool ordered = rng_.Chance(opts_.order_by_prob);
       Line(left + " = SELECT " + ks + ",Sum(" + val + ") AS P FROM " +
-           shared + " GROUP BY " + ks + ";");
+           shared + " GROUP BY " + ks + (ordered ? " ORDER BY " + ks : "") +
+           ";");
       Line(right + " = SELECT " + ks + ",Max(" + val + ") AS Q FROM " +
            shared + " GROUP BY " + ks + ";");
       std::string sel, where;
@@ -270,6 +272,7 @@ class Generator {
       Line(base + " = SELECT " + sel + "P,Q FROM " + left + "," + right +
            " WHERE " + where + ";");
       Output(base, sink);
+      if (ordered) Output(left, sink + ".ord");
       return;
     }
     roll -= opts_.join_consumer_prob;

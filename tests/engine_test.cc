@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/engine.h"
+#include "testing/script_gen.h"
+#include "workload/large_scripts.h"
 #include "workload/paper_scripts.h"
 
 namespace scx {
@@ -163,25 +166,20 @@ TEST(EngineTest, OptimizerIntrospectionAvailable) {
 }
 
 
-TEST(EngineTest, ConcurrentOptimizeOnOneEngine) {
-  // Several threads drive the same Engine and CompiledScript at once; each
-  // run builds a private memo/registry/optimizer, so results must match a
-  // quiet single-threaded run exactly.
-  OptimizerConfig config;
-  config.budget_seconds = 1e9;
-  Engine engine(MakePaperCatalog(), config);
-  auto compiled = engine.Compile(kScriptS2);
-  ASSERT_TRUE(compiled.ok());
-  auto reference = engine.Optimize(*compiled, OptimizerMode::kCse);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
+// Runs `optimize` once quietly, then on kRuns threads at once; every
+// concurrent run must reproduce the quiet run's cost and plan exactly.
+void ExpectConcurrentRunsMatchQuiet(
+    const char* name,
+    const std::function<Result<OptimizedScript>()>& optimize) {
+  auto reference = optimize();
+  ASSERT_TRUE(reference.ok()) << name << ": " << reference.status().ToString();
   constexpr int kRuns = 4;
   std::vector<double> costs(kRuns, -1.0);
   std::vector<std::string> plans(kRuns);
   std::vector<std::thread> threads;
   for (int t = 0; t < kRuns; ++t) {
     threads.emplace_back([&, t] {
-      auto optimized = engine.Optimize(*compiled, OptimizerMode::kCse);
+      auto optimized = optimize();
       if (optimized.ok()) {
         costs[static_cast<size_t>(t)] = optimized->cost();
         plans[static_cast<size_t>(t)] = optimized->Explain();
@@ -190,9 +188,42 @@ TEST(EngineTest, ConcurrentOptimizeOnOneEngine) {
   }
   for (std::thread& t : threads) t.join();
   for (int t = 0; t < kRuns; ++t) {
-    EXPECT_EQ(costs[static_cast<size_t>(t)], reference->cost());
-    EXPECT_EQ(plans[static_cast<size_t>(t)], reference->Explain());
+    EXPECT_EQ(costs[static_cast<size_t>(t)], reference->cost()) << name;
+    EXPECT_EQ(plans[static_cast<size_t>(t)], reference->Explain()) << name;
   }
+}
+
+TEST(EngineTest, ConcurrentOptimizeOnOneEngine) {
+  // Several threads drive the same Engine and compiled input at once; each
+  // run builds a private memo, registry and optimization context (none of
+  // it locked), so results must match a quiet single-threaded run exactly:
+  // on a paper script, a large script and a merged multi-script batch.
+  OptimizerConfig config;
+  config.budget_seconds = 1e9;
+
+  Engine paper(MakePaperCatalog(), config);
+  auto s2 = paper.Compile(kScriptS2);
+  ASSERT_TRUE(s2.ok());
+  ExpectConcurrentRunsMatchQuiet("S2", [&] {
+    return paper.Optimize(*s2, OptimizerMode::kCse);
+  });
+
+  GeneratedScript ls1 = GenerateLargeScript(Ls1Spec());
+  Engine large(ls1.catalog, config);
+  auto ls1_compiled = large.Compile(ls1.text);
+  ASSERT_TRUE(ls1_compiled.ok()) << ls1_compiled.status().ToString();
+  ExpectConcurrentRunsMatchQuiet("LS1", [&] {
+    return large.Optimize(*ls1_compiled, OptimizerMode::kCse);
+  });
+
+  GeneratedBatch gen = GenerateScriptBatch(3);
+  ASSERT_GE(gen.scripts.size(), 2u);
+  Engine batched(gen.catalog, config);
+  auto batch = batched.CompileBatch(gen.scripts);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ExpectConcurrentRunsMatchQuiet("batch seed 3", [&] {
+    return batched.OptimizeBatch(*batch, OptimizerMode::kCse);
+  });
 }
 
 TEST(EngineTest, CompareMatchesSeparateOptimizeCalls) {

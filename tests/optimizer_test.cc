@@ -353,10 +353,10 @@ CseOutcome OptimizeCse(const std::string& script, bool trace_rounds = true,
   return out;
 }
 
-TEST(OptimizerTest, RoundPruningNeverChangesWinner) {
-  // trace off enables class-local branch-and-bound across rounds; the
-  // chosen plan and cost must still match the traced (unpruned) run bit
-  // for bit, on every paper script and both large scripts.
+TEST(OptimizerTest, TraceNeverChangesSearch) {
+  // The round trace only records: with it off, the search must do exactly
+  // the same work — same plan, cost and rounds, and every cache counter
+  // equal — on every paper script and both large scripts.
   struct Case {
     const char* name;
     Catalog catalog;
@@ -372,12 +372,20 @@ TEST(OptimizerTest, RoundPruningNeverChangesWinner) {
                         {"LS2", ls2.catalog, ls2.text}};
   for (const Case& c : cases) {
     CseOutcome traced = OptimizeCse(c.script, true, c.catalog);
-    CseOutcome fast = OptimizeCse(c.script, false, c.catalog);
-    EXPECT_EQ(traced.cost, fast.cost) << c.name;
-    EXPECT_EQ(traced.plan, fast.plan) << c.name;
-    EXPECT_EQ(traced.rounds_executed, fast.rounds_executed) << c.name;
-    // Untraced runs do prune rounds on these scripts.
-    EXPECT_GT(fast.cache.pruned_rounds, 0) << c.name;
+    CseOutcome quiet = OptimizeCse(c.script, false, c.catalog);
+    EXPECT_EQ(traced.cost, quiet.cost) << c.name;
+    EXPECT_EQ(traced.plan, quiet.plan) << c.name;
+    EXPECT_GT(traced.rounds_executed, 0) << c.name;
+    EXPECT_EQ(traced.rounds_executed, quiet.rounds_executed) << c.name;
+    const OptCacheCounters& a = traced.cache;
+    const OptCacheCounters& b = quiet.cache;
+    EXPECT_EQ(a.winner_hits, b.winner_hits) << c.name;
+    EXPECT_EQ(a.winner_misses, b.winner_misses) << c.name;
+    EXPECT_EQ(a.spool_hits, b.spool_hits) << c.name;
+    EXPECT_EQ(a.spool_misses, b.spool_misses) << c.name;
+    EXPECT_EQ(a.pruned_alternatives, b.pruned_alternatives) << c.name;
+    EXPECT_EQ(a.pruned_rounds, b.pruned_rounds) << c.name;
+    EXPECT_EQ(a.interner_size, b.interner_size) << c.name;
   }
 }
 

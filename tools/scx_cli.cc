@@ -97,9 +97,8 @@ void PrintDiagnostics(const OptimizeDiagnostics& d) {
               c.spool_hits, st,
               st > 0 ? 100.0 * c.spool_hits / st : 0.0);
   std::printf("  props interned               : %ld\n", c.interner_size);
-  std::printf("  pruned                       : %ld alternatives, %ld "
-              "rounds\n",
-              c.pruned_alternatives, c.pruned_rounds);
+  std::printf("  pruned                       : %ld alternatives\n",
+              c.pruned_alternatives);
 }
 
 int Fail(const Status& status) {
