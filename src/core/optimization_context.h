@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "core/fingerprint.h"
 #include "core/property_history.h"
 #include "core/props_interner.h"
 #include "core/shared_info.h"
@@ -51,7 +50,6 @@ struct OptimizerConfig {
   bool rank_properties = true;             ///< Sec. VIII-C
   /// Record a RoundTraceEntry per phase-2 round in the diagnostics.
   bool trace_rounds = true;
-  CseIdentifyOptions cse;
 };
 
 /// One phase-2 re-optimization round, as recorded in the optimization

@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/fingerprint.h"
+
 namespace scx {
 
 namespace {
@@ -47,10 +49,10 @@ Result<OptimizeResult> Optimizer::Run(OptimizerMode mode) {
       1, static_cast<int>(ctx_.script_roots().size()));
 
   if (mode != OptimizerMode::kConventional) {
-    CseIdentifyOptions cse_opts = ctx_.config().cse;
     // Merged multi-script memos duplicate whole chains; keep only the
     // maximal common subexpressions there. Single-script memos keep the
     // historical behaviour bit for bit.
+    CseIdentifyOptions cse_opts;
     cse_opts.prune_single_consumer_spools = ctx_.script_roots().size() >= 2;
     CseIdentifyResult id =
         IdentifyCommonSubexpressions(&ctx_.mutable_memo(), cse_opts);

@@ -39,12 +39,6 @@ class PropertyHistory {
 
   bool Contains(PropsId id) const { return index_.count(id) != 0; }
 
-  /// Entry index of the interned id, -1 when absent.
-  int IndexOf(PropsId id) const {
-    auto it = index_.find(id);
-    return it == index_.end() ? -1 : it->second;
-  }
-
   /// Credits the most specific entry consistent with a winner that
   /// delivered `delivered` (paper Sec. VIII-C: how often a property set
   /// generated a best local plan in phase 1). Stays a linear scan: this is

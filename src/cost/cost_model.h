@@ -143,7 +143,6 @@ class CardinalityEstimator {
   void EstimateMemo(const Memo& memo);
 
   const GroupStats& StatsOf(GroupId id) const { return stats_.at(id); }
-  bool HasStats(GroupId id) const { return stats_.count(id) != 0; }
 
   /// Registers stats for a rule-created group (e.g. the LocalGbAgg group
   /// introduced by the aggregate-split transformation).

@@ -1,10 +1,6 @@
 #include "exec/column_batch.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-
-#include "common/hash.h"
 
 namespace scx {
 
@@ -47,14 +43,6 @@ void ColumnVector::Reserve(size_t n) {
       values_.reserve(n);
       break;
   }
-}
-
-void ColumnVector::Clear() {
-  ints_.clear();
-  doubles_.clear();
-  strings_.clear();
-  values_.clear();
-  nulls_.clear();
 }
 
 void ColumnVector::Demote() {
@@ -102,33 +90,6 @@ void ColumnVector::AppendValue(const Value& v) {
       values_.push_back(v);
       break;
   }
-  if (!nulls_.empty()) nulls_.push_back(0);
-}
-
-void ColumnVector::AppendNull() {
-  if (nulls_.empty()) nulls_.assign(size(), 0);
-  switch (rep_) {
-    case ColumnRep::kInt64:
-      ints_.push_back(0);
-      break;
-    case ColumnRep::kDouble:
-      doubles_.push_back(0.0);
-      break;
-    case ColumnRep::kString:
-      strings_.emplace_back();
-      break;
-    case ColumnRep::kValue:
-      values_.emplace_back();
-      break;
-  }
-  adopted_ = true;
-  nulls_.push_back(1);
-}
-
-size_t ColumnVector::null_count() const {
-  size_t n = 0;
-  for (uint8_t b : nulls_) n += b;
-  return n;
 }
 
 Value ColumnVector::ValueAt(size_t i) const {
@@ -159,87 +120,15 @@ bool ColumnVector::CellEquals(size_t i, const Value& v) const {
   return false;
 }
 
-uint64_t ColumnVector::CellHash(size_t i) const {
-  switch (rep_) {
-    case ColumnRep::kInt64:
-      return Mix64(static_cast<uint64_t>(ints_[i]));
-    case ColumnRep::kDouble: {
-      double d = doubles_[i];
-      if (d == 0.0) d = 0.0;  // normalize -0.0, mirroring Value::Hash
-      uint64_t bits;
-      __builtin_memcpy(&bits, &d, sizeof(bits));
-      return Mix64(bits ^ 0x5555555555555555ULL);
-    }
-    case ColumnRep::kString:
-      return Fnv1a64(strings_[i]);
-    case ColumnRep::kValue:
-      return values_[i].Hash();
-  }
-  return 0;
-}
-
-ColumnBatch BatchFromRows(const std::vector<Row>& rows, size_t begin,
-                          size_t end, size_t num_columns,
-                          const std::vector<int>& wanted) {
-  ColumnBatch batch;
-  batch.rows = end - begin;
-  batch.columns.resize(num_columns);
-  for (int pos : wanted) {
-    ColumnVector& col = batch.columns[static_cast<size_t>(pos)];
-    if (!col.empty()) continue;  // duplicate request
-    col.Reserve(batch.rows);
-    for (size_t r = begin; r < end; ++r) {
-      col.AppendValue(rows[r][static_cast<size_t>(pos)]);
-    }
-  }
-  return batch;
-}
-
-void AppendBatchRows(const ColumnBatch& batch, std::vector<Row>* out) {
-  out->reserve(out->size() + batch.rows);
-  for (size_t i = 0; i < batch.rows; ++i) {
-    Row row;
-    row.reserve(batch.columns.size());
-    for (const ColumnVector& col : batch.columns) {
-      if (col.IsNull(i)) {
-        std::fprintf(stderr,
-                     "scx: fatal: null cell in row conversion (rows cannot "
-                     "represent nulls)\n");
-        std::abort();
-      }
-      row.push_back(col.ValueAt(i));
-    }
-    out->push_back(std::move(row));
-  }
-}
-
-void AppendRowsFromColumns(const std::vector<const ColumnVector*>& cols,
-                           size_t rows, std::vector<Row>* out) {
-  out->reserve(out->size() + rows);
-  for (size_t i = 0; i < rows; ++i) {
-    Row row;
-    row.reserve(cols.size());
-    for (const ColumnVector* col : cols) row.push_back(col->ValueAt(i));
-    out->push_back(std::move(row));
-  }
-}
-
 void ColumnVector::AppendColumn(const ColumnVector& src,
                                 const SelectionVector* sel) {
   const size_t n = sel != nullptr ? sel->size() : src.size();
   if (n == 0) return;
-  // Per-cell fallback keeps adopt/demote and null semantics exact whenever
-  // a bulk copy is not obviously equivalent.
-  const bool bulk = src.nulls_.empty() && nulls_.empty() &&
-                    (!adopted_ || rep_ == src.rep_);
-  if (!bulk) {
+  // Per-cell fallback keeps adopt/demote semantics exact whenever a bulk
+  // copy is not obviously equivalent.
+  if (adopted_ && rep_ != src.rep_) {
     for (size_t k = 0; k < n; ++k) {
-      size_t i = sel != nullptr ? (*sel)[k] : k;
-      if (src.IsNull(i)) {
-        AppendNull();
-      } else {
-        AppendValue(src.ValueAt(i));
-      }
+      AppendValue(src.ValueAt(sel != nullptr ? (*sel)[k] : k));
     }
     return;
   }
@@ -394,22 +283,6 @@ int64_t ColumnLiveBytes(const ColumnVector& col, const SelectionVector* sel) {
   return 0;
 }
 
-ColumnBatchView ViewOf(const ColumnBatch& batch) {
-  ColumnBatchView view;
-  view.rows = batch.rows;
-  view.columns.reserve(batch.columns.size());
-  for (const ColumnVector& col : batch.columns) view.columns.push_back(&col);
-  return view;
-}
-
-ColumnBatchView BatchPartition::View() const {
-  ColumnBatchView view;
-  view.rows = rows;
-  view.columns.reserve(columns.size());
-  for (const ColumnPtr& col : columns) view.columns.push_back(col.get());
-  return view;
-}
-
 int64_t BatchData::TotalLiveRows() const {
   int64_t n = 0;
   for (const BatchPartition& p : partitions) {
@@ -465,15 +338,7 @@ void AppendPartitionRows(const BatchPartition& part, std::vector<Row>* out) {
     size_t i = part.filtered ? part.sel[k] : k;
     Row row;
     row.reserve(part.columns.size());
-    for (const ColumnPtr& col : part.columns) {
-      if (col->IsNull(i)) {
-        std::fprintf(stderr,
-                     "scx: fatal: null cell in row conversion (rows cannot "
-                     "represent nulls)\n");
-        std::abort();
-      }
-      row.push_back(col->ValueAt(i));
-    }
+    for (const ColumnPtr& col : part.columns) row.push_back(col->ValueAt(i));
     out->push_back(std::move(row));
   }
 }

@@ -21,14 +21,9 @@ enum class ColumnRep { kInt64, kDouble, kString, kValue };
 /// consume a selection instead of compacting the batch.
 using SelectionVector = std::vector<uint32_t>;
 
-/// A typed column of a few thousand cells with optional null support. The
-/// rep is adopted from the first appended cell and demoted to kValue on the
-/// first mismatching append, so `ValueAt(i)` is always bit-identical to the
-/// row cell the column was built from.
-///
-/// The row format cannot represent nulls, so converter-built columns are
-/// always fully valid; the null mask exists for kernel-level intermediates
-/// and is validated by tests (ToRows-style conversions require 0 nulls).
+/// A typed column. The rep is adopted from the first appended cell and
+/// demoted to kValue on the first mismatching append, so `ValueAt(i)` is
+/// always bit-identical to the row cell the column was built from.
 class ColumnVector {
  public:
   ColumnVector() = default;
@@ -36,22 +31,12 @@ class ColumnVector {
 
   ColumnRep rep() const { return rep_; }
   size_t size() const;
-  bool empty() const { return size() == 0; }
 
   void Reserve(size_t n);
-  void Clear();
 
   /// Appends one cell, adopting the rep on the first append and demoting
   /// the whole column to kValue when `v`'s runtime type does not match.
   void AppendValue(const Value& v);
-
-  /// Appends a null cell (a typed placeholder plus a validity-mask entry).
-  void AppendNull();
-
-  bool IsNull(size_t i) const {
-    return i < nulls_.size() && nulls_[i] != 0;
-  }
-  size_t null_count() const;
 
   /// The cell as a Value — bit-identical to the source row cell.
   Value ValueAt(size_t i) const;
@@ -59,9 +44,6 @@ class ColumnVector {
   /// Value equality of cell i against `v` (exact Value::operator==
   /// semantics: types must match, then payloads compare equal).
   bool CellEquals(size_t i, const Value& v) const;
-
-  /// Hash of cell i, identical to ValueAt(i).Hash().
-  uint64_t CellHash(size_t i) const;
 
   /// Appends all of `src`'s cells (or only `sel`'s, in selection order).
   /// Bulk typed copy when the reps line up; falls back to per-cell
@@ -86,39 +68,9 @@ class ColumnVector {
   std::vector<double> doubles_;
   std::vector<std::string> strings_;
   std::vector<Value> values_;
-  std::vector<uint8_t> nulls_;  ///< empty = no nulls; else 1 bit per cell
 };
 
-/// A horizontal slice of a partition in columnar form. Columns are aligned
-/// with the producing operator's schema positions; only the positions a
-/// kernel asked for are materialized (the rest stay empty), so converting
-/// costs one pass over the referenced cells only.
-struct ColumnBatch {
-  size_t rows = 0;
-  std::vector<ColumnVector> columns;
-
-  const ColumnVector& col(int pos) const {
-    return columns[static_cast<size_t>(pos)];
-  }
-};
-
-/// Converts rows[begin, end) into a batch of `num_columns` columns,
-/// materializing only the `wanted` schema positions (duplicates are fine).
-ColumnBatch BatchFromRows(const std::vector<Row>& rows, size_t begin,
-                          size_t end, size_t num_columns,
-                          const std::vector<int>& wanted);
-
-/// Appends the batch's rows (all columns, which must all be materialized
-/// and null-free) to `out` — the inverse of a full-width BatchFromRows.
-void AppendBatchRows(const ColumnBatch& batch, std::vector<Row>* out);
-
-/// Appends one output row per batch row, cell j taken from cols[j]. Used
-/// by the Compute operator to fold evaluated expression columns back into
-/// the row stream at the operator boundary.
-void AppendRowsFromColumns(const std::vector<const ColumnVector*>& cols,
-                           size_t rows, std::vector<Row>* out);
-
-/// Gathers sel's cells of `col` into a new column (same rep, nulls kept).
+/// Gathers sel's cells of `col` into a new column (same rep).
 ColumnVector GatherColumn(const ColumnVector& col,
                           const SelectionVector& sel);
 
@@ -140,9 +92,9 @@ void SortRowIndices(const std::vector<const ColumnVector*>& keys,
                     SelectionVector* perm);
 
 /// Exact `a.CellEquals(i, b.ValueAt(j))` — Value::operator== semantics, so
-/// NaN never equals itself and null cells compare by their placeholder —
-/// without materializing the Value when the reps match. The key equality
-/// of the batch executor's representative-row hash tables.
+/// NaN never equals itself — without materializing the Value when the reps
+/// match. The key equality of the batch executor's representative-row hash
+/// tables.
 inline bool CellsEqual(const ColumnVector& a, size_t i, const ColumnVector& b,
                        size_t j) {
   if (a.rep() == b.rep()) {
@@ -188,21 +140,6 @@ int64_t ColumnLiveBytes(const ColumnVector& col, const SelectionVector* sel);
 /// across operators, spool readers, and worker threads is safe.
 using ColumnPtr = std::shared_ptr<const ColumnVector>;
 
-/// A borrowed, non-owning view of a batch: `rows` physical rows and one
-/// column pointer per schema position (positions a caller never asks for
-/// may be null). The common argument type of the vectorized kernels.
-struct ColumnBatchView {
-  size_t rows = 0;
-  std::vector<const ColumnVector*> columns;
-
-  const ColumnVector& col(int pos) const {
-    return *columns[static_cast<size_t>(pos)];
-  }
-};
-
-/// Returns the borrowed view of an owning ColumnBatch.
-ColumnBatchView ViewOf(const ColumnBatch& batch);
-
 /// One machine's slice of an operator's output in columnar form. `columns`
 /// are aligned with the producing operator's schema positions and all
 /// materialized. When `filtered`, only the `sel` rows (ascending) are live;
@@ -217,7 +154,6 @@ struct BatchPartition {
   const SelectionVector* Selection() const {
     return filtered ? &sel : nullptr;
   }
-  ColumnBatchView View() const;
 };
 
 /// A whole operator output, split across the simulated cluster's machines.
@@ -234,8 +170,8 @@ struct BatchData {
 /// copy) — the spool materialization fast path.
 BatchPartition CompactPartition(const BatchPartition& part);
 
-/// Full-width rows -> columns conversion for one partition (builds kernel
-/// inputs from literal rows).
+/// Full-width rows -> columns conversion for one partition (tests build
+/// kernel inputs from literal rows with it).
 BatchPartition PartitionFromRows(const std::vector<Row>& rows,
                                  size_t num_columns);
 

@@ -86,8 +86,7 @@ class KeyIdIndex {
 /// key columns, each stored as the row index of its first insertion (its
 /// representative), so no key is ever materialized. Key equality is
 /// CellsEqual cell by cell — exactly Value equality on the cells, so NaN
-/// never matches and null cells compare by their placeholder. Dense ids are
-/// assigned in first-insertion order.
+/// never matches. Dense ids are assigned in first-insertion order.
 class ColumnKeyTable {
  public:
   static constexpr size_t kNotFound = KeyIdIndex::kNotFound;

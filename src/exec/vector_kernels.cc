@@ -215,14 +215,6 @@ void HashColumnCells(const ColumnVector& col, size_t n, uint64_t* h) {
   }
 }
 
-void HashColumns(const ColumnBatch& batch, const std::vector<int>& positions,
-                 std::vector<uint64_t>* hashes) {
-  hashes->assign(batch.rows, kRowKeySeed);
-  for (int pos : positions) {
-    HashColumnCells(batch.col(pos), batch.rows, hashes->data());
-  }
-}
-
 bool PredicatePassCells(CompareOp op, const Value& l, const Value& r) {
   return PassOp(op, CmpPredicateValues(l, r));
 }
@@ -387,14 +379,6 @@ void SelectByPredicate(const ColumnVector& lhs, const ColumnVector* rhs,
   });
 }
 
-void ApplyPredicate(const ColumnBatch& batch, const BoundPredicate& pred,
-                    int lhs_pos, int rhs_pos, bool first,
-                    SelectionVector* sel) {
-  SelectByPredicate(batch.col(lhs_pos),
-                    rhs_pos >= 0 ? &batch.col(rhs_pos) : nullptr,
-                    pred.literal, pred.op, batch.rows, first, sel);
-}
-
 ColumnVector SplatColumn(const Value& v, size_t n) {
   ColumnVector out;
   out.Reserve(n);
@@ -506,33 +490,6 @@ void EvalBinaryColumns(ScalarExpr::BinOp op, const ColumnVector& l,
       break;  // handled above
   }
   *out = std::move(res);
-}
-
-void EvalExprSchedule(const ExprSchedule& sched, const ColumnBatch& batch,
-                      const std::vector<int>& step_pos,
-                      EvaluatedSchedule* out) {
-  const size_t nsteps = sched.steps.size();
-  out->computed.clear();
-  out->computed.resize(nsteps);
-  out->cols.assign(nsteps, nullptr);
-  for (size_t s = 0; s < nsteps; ++s) {
-    const ExprStep& step = sched.steps[s];
-    switch (step.kind) {
-      case ScalarExpr::Kind::kColumn:
-        out->cols[s] = &batch.col(step_pos[s]);
-        break;
-      case ScalarExpr::Kind::kLiteral:
-        out->computed[s] = SplatColumn(step.literal, batch.rows);
-        out->cols[s] = &out->computed[s];
-        break;
-      case ScalarExpr::Kind::kBinary:
-        EvalBinaryColumns(step.op, *out->cols[static_cast<size_t>(step.lhs)],
-                          *out->cols[static_cast<size_t>(step.rhs)],
-                          batch.rows, &out->computed[s]);
-        out->cols[s] = &out->computed[s];
-        break;
-    }
-  }
 }
 
 }  // namespace scx

@@ -35,9 +35,6 @@ class ColumnRegistry {
   const ColumnMeta& Get(ColumnId id) const {
     return columns_[static_cast<size_t>(id)];
   }
-  ColumnMeta& GetMutable(ColumnId id) {
-    return columns_[static_cast<size_t>(id)];
-  }
 
   int NumColumns() const { return static_cast<int>(columns_.size()); }
 

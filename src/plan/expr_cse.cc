@@ -11,11 +11,16 @@ namespace scx {
 namespace {
 
 /// Value-numbering state: hash buckets of existing step indices, verified
-/// by full structural comparison before reuse (the fingerprint idiom).
-struct ScheduleBuilder {
+/// by full structural comparison before reuse (the fingerprint idiom), and
+/// the column scope of the stage being lowered.
+struct PipelineBuilder {
   std::vector<ExprStep>* steps;
   int64_t* duplicates_eliminated;
   std::unordered_map<uint64_t, std::vector<int>> buckets;
+  /// The visible schema's ColumnId -> producing step. Ids absent from the
+  /// scope are chain-input columns and intern as kColumn steps (cached in
+  /// the scope so repeated loads share one step).
+  std::unordered_map<ColumnId, int> scope;
 
   uint64_t StepHash(const ExprStep& s) const {
     switch (s.kind) {
@@ -63,42 +68,6 @@ struct ScheduleBuilder {
     return idx;
   }
 
-  int Lower(const ScalarExpr& e) {
-    ExprStep step;
-    step.kind = e.kind();
-    switch (e.kind()) {
-      case ScalarExpr::Kind::kColumn:
-        step.column = e.column();
-        return Intern(std::move(step), /*count_dedup=*/false);
-      case ScalarExpr::Kind::kLiteral:
-        step.literal = e.literal();
-        return Intern(std::move(step), /*count_dedup=*/false);
-      case ScalarExpr::Kind::kBinary: {
-        step.op = e.op();
-        step.lhs = Lower(*e.lhs());
-        step.rhs = Lower(*e.rhs());
-        // Canonical operand order for the commutative operators: IEEE-754
-        // add/mul and wrapping int arithmetic are operand-order-invariant,
-        // so sorting the step indices merges A+B with B+A bit-exactly.
-        if ((e.op() == ScalarExpr::BinOp::kAdd ||
-             e.op() == ScalarExpr::BinOp::kMul) &&
-            step.rhs < step.lhs) {
-          std::swap(step.lhs, step.rhs);
-        }
-        return Intern(std::move(step), /*count_dedup=*/true);
-      }
-    }
-    return Intern(std::move(step), /*count_dedup=*/false);
-  }
-};
-
-/// A ScheduleBuilder whose column references resolve through a scope: the
-/// visible schema's ColumnId -> producing step. Ids absent from the scope
-/// are chain-input columns and intern as kColumn steps (cached in the scope
-/// so repeated loads share one step).
-struct PipelineBuilder : ScheduleBuilder {
-  std::unordered_map<ColumnId, int> scope;
-
   int LowerColumnRef(ColumnId id) {
     auto it = scope.find(id);
     if (it != scope.end()) return it->second;
@@ -125,6 +94,9 @@ struct PipelineBuilder : ScheduleBuilder {
     step.op = e.op();
     step.lhs = LowerExpr(*e.lhs());
     step.rhs = LowerExpr(*e.rhs());
+    // Canonical operand order for the commutative operators: IEEE-754
+    // add/mul and wrapping int arithmetic are operand-order-invariant, so
+    // sorting the step indices merges A+B with B+A bit-exactly.
     if ((e.op() == ScalarExpr::BinOp::kAdd ||
          e.op() == ScalarExpr::BinOp::kMul) &&
         step.rhs < step.lhs) {
@@ -135,16 +107,6 @@ struct PipelineBuilder : ScheduleBuilder {
 };
 
 }  // namespace
-
-ExprSchedule BuildExprSchedule(const std::vector<ComputeItem>& items) {
-  ExprSchedule sched;
-  ScheduleBuilder builder{&sched.steps, &sched.duplicates_eliminated, {}};
-  sched.item_steps.reserve(items.size());
-  for (const ComputeItem& item : items) {
-    sched.item_steps.push_back(builder.Lower(*item.expr));
-  }
-  return sched;
-}
 
 PipelineSchedule BuildPipelineSchedule(
     const std::vector<PipelineStageDesc>& stage_descs) {

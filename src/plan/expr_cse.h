@@ -10,7 +10,7 @@
 
 namespace scx {
 
-/// One step of a stage's shared-slot evaluation schedule. Steps are in
+/// One step of a chain's shared-slot evaluation schedule. Steps are in
 /// dependency order (operands always precede their users), so a batch
 /// evaluator runs them top to bottom, each step producing one column.
 struct ExprStep {
@@ -22,42 +22,18 @@ struct ExprStep {
   int rhs = -1;
 };
 
-/// The expression-level CSE result for one Compute stage: structurally
-/// equal ScalarExpr subtrees across all of the stage's items collapse to a
-/// single step, evaluated once per batch and referenced thereafter — the
-/// expression-granularity analogue of the optimizer's shared sub-DAG
-/// spools (and of DuckDB's CommonSubExpressionOptimizer).
-struct ExprSchedule {
-  std::vector<ExprStep> steps;
-  /// Step producing each compute item's output, aligned with the items.
-  std::vector<int> item_steps;
-  /// Structurally duplicate binary subtrees eliminated (memo hits); the
-  /// executor surfaces this as ExecMetrics::exprs_deduped.
-  int64_t duplicates_eliminated = 0;
-
-  bool HasSharing() const { return duplicates_eliminated > 0; }
-};
-
-/// Canonicalizes and deduplicates the items' expression trees into a
-/// shared-slot schedule. Value numbering uses the fingerprint hashing idiom
-/// (structural hash + full equality check per bucket, so hash collisions
-/// can never merge distinct subtrees). Commutative operators (+, *) are
-/// canonicalized by ordering their operand steps, which is bit-exact for
-/// IEEE-754 add/mul and two's-complement int wraparound, so `B*A` shares
-/// `A*B`'s step without changing a single output bit.
-ExprSchedule BuildExprSchedule(const std::vector<ComputeItem>& items);
-
-// ---------------------------------------------------------------------------
-// Cross-stage pipeline schedules.
+// Expression-level CSE over pipeline schedules.
 //
 // A maximal Filter/Compute/Project chain of the physical plan lowers into
-// ONE value-numbered step dag shared by every stage: a later Compute's
-// reference to an earlier stage's output column resolves to that stage's
-// step (not a fresh column load), so structurally equal subtrees dedupe
-// across stage boundaries exactly as they do within one stage, and a
-// filter's predicates read computed columns directly — sharing between a
-// stage's predicates and the items that feed them without materializing a
-// single row.
+// ONE value-numbered step dag shared by every stage: structurally equal
+// ScalarExpr subtrees collapse to a single step, evaluated once per batch
+// and referenced thereafter — the expression-granularity analogue of the
+// optimizer's shared sub-DAG spools (and of DuckDB's
+// CommonSubExpressionOptimizer). A later Compute's reference to an earlier
+// stage's output column resolves to that stage's step (not a fresh column
+// load), so subtrees dedupe across stage boundaries exactly as they do
+// within one stage, and a filter's predicates read computed columns
+// directly. A single Compute is a one-stage chain.
 
 /// One filter predicate resolved into the step dag: `step(lhs) op
 /// (step(rhs) | literal)`. rhs < 0 selects the literal side.
@@ -118,8 +94,12 @@ struct PipelineStageDesc {
 /// Lowers a chain into a fused schedule. Column references resolve through
 /// a per-stage scope (stage outputs shadow chain inputs), so only chain
 /// *input* columns become kColumn steps; everything else shares the
-/// producing step. Commutative canonicalization and the fingerprint-idiom
-/// value numbering are BuildExprSchedule's, applied chain-wide.
+/// producing step. Value numbering uses the fingerprint hashing idiom
+/// (structural hash + full equality check per bucket, so hash collisions
+/// can never merge distinct subtrees). Commutative operators (+, *) are
+/// canonicalized by ordering their operand steps, which is bit-exact for
+/// IEEE-754 add/mul and two's-complement int wraparound, so `B*A` shares
+/// `A*B`'s step without changing a single output bit.
 PipelineSchedule BuildPipelineSchedule(
     const std::vector<PipelineStageDesc>& stage_descs);
 

@@ -85,8 +85,6 @@ struct PartitioningReq {
     return r;
   }
 
-  bool IsTrivial() const { return kind == PartReqKind::kNone; }
-
   /// True iff `delivered` satisfies this requirement. A single partition
   /// trivially co-locates everything, so kSerial satisfies kHashSubset.
   bool SatisfiedBy(const Partitioning& delivered) const;
@@ -128,8 +126,6 @@ struct SortSpec {
 struct RequiredProps {
   PartitioningReq partitioning;
   SortSpec sort;
-
-  bool IsTrivial() const { return partitioning.IsTrivial() && sort.Empty(); }
 
   uint64_t HashValue() const;
   std::string ToString(

@@ -1,10 +1,10 @@
 // Unit tests for the columnar batch layer (src/exec/column_batch): the
-// row <-> batch converters must be lossless and bit-identical, selection
-// vectors must gather exactly the selected cells, rep adoption/demotion
-// must keep mixed-type columns exact, and the null mask must stay scoped
-// to kernel-level intermediates. The executor's representative-row key
-// table must group exactly like a linear scan with Value equality, and its
-// typed sort comparator must agree exactly with the CompareCells ordering.
+// row <-> partition converters must be lossless and bit-identical,
+// selection vectors must gather exactly the selected cells, and rep
+// adoption/demotion must keep mixed-type columns exact. The executor's
+// representative-row key table must group exactly like a linear scan with
+// Value equality, and its typed sort comparator must agree exactly with
+// the CompareCells ordering.
 
 #include "exec/column_batch.h"
 
@@ -63,73 +63,6 @@ TEST(ColumnVectorTest, CellEqualsUsesExactValueSemantics) {
   EXPECT_FALSE(col.CellEquals(1, Value::Int(5)));
 }
 
-TEST(ColumnVectorTest, CellHashMatchesValueHash) {
-  ColumnVector col;
-  std::vector<Value> cells = {Value::Int(42), Value::Real(-0.0),
-                              Value::Str("abc"), Value::Int(-1)};
-  for (const Value& v : cells) col.AppendValue(v);
-  for (size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(col.CellHash(i), col.ValueAt(i).Hash()) << "cell " << i;
-  }
-}
-
-TEST(ColumnVectorTest, NullMaskTracksAppendNull) {
-  ColumnVector col(ColumnRep::kInt64);
-  col.AppendValue(Value::Int(1));
-  col.AppendNull();
-  col.AppendValue(Value::Int(3));
-  EXPECT_EQ(col.size(), 3u);
-  EXPECT_EQ(col.null_count(), 1u);
-  EXPECT_FALSE(col.IsNull(0));
-  EXPECT_TRUE(col.IsNull(1));
-  EXPECT_FALSE(col.IsNull(2));
-  // Fully-valid columns never allocate a mask.
-  ColumnVector valid;
-  valid.AppendValue(Value::Int(1));
-  EXPECT_EQ(valid.null_count(), 0u);
-  EXPECT_FALSE(valid.IsNull(0));
-}
-
-TEST(ColumnBatchTest, RowBatchRoundTripIsBitIdentical) {
-  std::vector<Row> rows = MixedRows();
-  ColumnBatch batch =
-      BatchFromRows(rows, 0, rows.size(), 3, /*wanted=*/{0, 1, 2});
-  ASSERT_EQ(batch.rows, rows.size());
-  // The mixed column demoted to kValue; the typed ones adopted their rep.
-  EXPECT_EQ(batch.col(0).rep(), ColumnRep::kInt64);
-  EXPECT_EQ(batch.col(1).rep(), ColumnRep::kDouble);
-  EXPECT_EQ(batch.col(2).rep(), ColumnRep::kValue);
-
-  std::vector<Row> back;
-  AppendBatchRows(batch, &back);
-  EXPECT_EQ(back, rows);  // raw Value equality, row for row
-}
-
-TEST(ColumnBatchTest, ChunkedConversionPreservesRowOrder) {
-  std::vector<Row> rows;
-  for (int64_t i = 0; i < 10; ++i) rows.push_back({Value::Int(i)});
-  std::vector<Row> back;
-  for (size_t begin = 0; begin < rows.size(); begin += 3) {
-    size_t end = std::min(begin + 3, rows.size());
-    ColumnBatch batch = BatchFromRows(rows, begin, end, 1, {0});
-    AppendBatchRows(batch, &back);
-  }
-  EXPECT_EQ(back, rows);
-}
-
-TEST(ColumnBatchTest, MaterializesOnlyWantedPositions) {
-  std::vector<Row> rows = MixedRows();
-  // Duplicate positions in `wanted` must be harmless.
-  ColumnBatch batch = BatchFromRows(rows, 1, 3, 3, {2, 2, 0, 0});
-  EXPECT_EQ(batch.rows, 2u);
-  ASSERT_EQ(batch.columns.size(), 3u);
-  EXPECT_EQ(batch.col(0).size(), 2u);
-  EXPECT_TRUE(batch.col(1).empty());  // not requested: stays empty
-  EXPECT_EQ(batch.col(2).size(), 2u);
-  EXPECT_EQ(batch.col(0).ValueAt(0), rows[1][0]);
-  EXPECT_EQ(batch.col(2).ValueAt(1), rows[2][2]);
-}
-
 TEST(ColumnBatchTest, GatherColumnFollowsSelectionVector) {
   ColumnVector col;
   for (int64_t i = 0; i < 6; ++i) col.AppendValue(Value::Int(i * 10));
@@ -143,35 +76,8 @@ TEST(ColumnBatchTest, GatherColumnFollowsSelectionVector) {
 
   // Empty selection: empty column, rep kept.
   ColumnVector none = GatherColumn(col, {});
-  EXPECT_TRUE(none.empty());
-}
-
-TEST(ColumnBatchTest, GatherColumnKeepsNullMask) {
-  ColumnVector col(ColumnRep::kInt64);
-  col.AppendValue(Value::Int(1));
-  col.AppendNull();
-  col.AppendValue(Value::Int(3));
-  ColumnVector picked = GatherColumn(col, {1, 2});
-  ASSERT_EQ(picked.size(), 2u);
-  EXPECT_TRUE(picked.IsNull(0));
-  EXPECT_FALSE(picked.IsNull(1));
-  EXPECT_EQ(picked.ValueAt(1), Value::Int(3));
-}
-
-TEST(ColumnBatchTest, AppendRowsFromColumnsZipsColumns) {
-  ColumnVector a, b;
-  for (int64_t i = 0; i < 3; ++i) {
-    a.AppendValue(Value::Int(i));
-    b.AppendValue(Value::Str(std::to_string(i)));
-  }
-  std::vector<Row> out;
-  AppendRowsFromColumns({&a, &b}, 3, &out);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[2], (Row{Value::Int(2), Value::Str("2")}));
-  // The same column may back several output positions (shared CSE slot).
-  std::vector<Row> dup;
-  AppendRowsFromColumns({&a, &a}, 3, &dup);
-  EXPECT_EQ(dup[1], (Row{Value::Int(1), Value::Int(1)}));
+  EXPECT_EQ(none.size(), 0u);
+  EXPECT_EQ(none.rep(), ColumnRep::kInt64);
 }
 
 TEST(ColumnBatchTest, AppendColumnBulkCopyMatchesPerCellFallback) {
@@ -248,10 +154,14 @@ TEST(ColumnBatchTest, PartitionRowConvertersRoundTrip) {
   EXPECT_EQ(part.rows, rows.size());
   EXPECT_FALSE(part.filtered);
   ASSERT_EQ(part.columns.size(), 3u);
+  // The mixed column demoted to kValue; the typed ones adopted their rep.
+  EXPECT_EQ(part.columns[0]->rep(), ColumnRep::kInt64);
+  EXPECT_EQ(part.columns[1]->rep(), ColumnRep::kDouble);
+  EXPECT_EQ(part.columns[2]->rep(), ColumnRep::kValue);
 
   std::vector<Row> back;
   AppendPartitionRows(part, &back);
-  EXPECT_EQ(back, rows);
+  EXPECT_EQ(back, rows);  // raw Value equality, row for row
 
   // With a selection, only live rows convert, in selection order.
   part.sel = {2, 0};
@@ -336,19 +246,6 @@ TEST(ColumnKeyTableTest, NaNKeysNeverMatchAndSignedZerosDo) {
   std::vector<size_t> ids = ExpectSameGrouping({col}, col.size(), 0);
   // Value equality: every NaN row opens its own group; -0.0 == 0.0.
   EXPECT_EQ(ids, (std::vector<size_t>{0, 1, 0, 2, 3, 3, 4}));
-}
-
-TEST(ColumnKeyTableTest, NullKeysCompareByPlaceholderLikeCellEquals) {
-  // CellEquals ignores the null mask (nulls exist only in kernel-level
-  // intermediates), so a null int cell keys like its 0 placeholder.
-  ColumnVector col(ColumnRep::kInt64);
-  col.AppendValue(Value::Int(0));
-  col.AppendNull();
-  col.AppendValue(Value::Int(5));
-  col.AppendNull();
-  ASSERT_EQ(col.null_count(), 2u);
-  std::vector<size_t> ids = ExpectSameGrouping({col}, col.size(), 0);
-  EXPECT_EQ(ids, (std::vector<size_t>{0, 0, 1, 0}));
 }
 
 TEST(ColumnKeyTableTest, MixedIntDoubleValueColumnKeepsTypesApart) {
@@ -505,11 +402,11 @@ TEST(ColumnKeyTableTest, SurvivesRehash) {
 }
 
 // The sort key column kinds the typed comparator specializes on.
-enum class KeyKind { kInt, kDouble, kString, kValue, kDemoted, kNulls };
+enum class KeyKind { kInt, kDouble, kString, kValue, kDemoted };
 
-const KeyKind kAllKinds[] = {KeyKind::kInt,    KeyKind::kDouble,
+const KeyKind kAllKinds[] = {KeyKind::kInt, KeyKind::kDouble,
                              KeyKind::kString, KeyKind::kValue,
-                             KeyKind::kDemoted, KeyKind::kNulls};
+                             KeyKind::kDemoted};
 
 // `n` cells of the given kind from small domains, so sorts see many ties
 // and later keys break them.
@@ -522,7 +419,6 @@ ColumnVector KeyColumn(KeyKind kind, size_t n, bool with_nan, uint32_t seed) {
   const char* strings[] = {"", "a", "b", "ab"};
   ColumnVector col;
   if (kind == KeyKind::kValue) col = ColumnVector(ColumnRep::kValue);
-  if (kind == KeyKind::kNulls) col = ColumnVector(ColumnRep::kInt64);
   for (size_t i = 0; i < n; ++i) {
     const uint32_t x = rng();
     switch (kind) {
@@ -546,13 +442,6 @@ ColumnVector KeyColumn(KeyKind kind, size_t n, bool with_nan, uint32_t seed) {
           col.AppendValue(Value::Real(doubles[x % 6]));
         } else {
           col.AppendValue(Value::Str(strings[x % 4]));
-        }
-        break;
-      case KeyKind::kNulls:
-        if (x % 3 == 0) {
-          col.AppendNull();
-        } else {
-          col.AppendValue(Value::Int(x % 3));
         }
         break;
     }

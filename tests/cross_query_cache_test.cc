@@ -1,7 +1,7 @@
 // Cross-query spool cache and batched-submission tests: resubmission hits,
 // catalog-version invalidation, eviction under byte pressure, the run-local
 // spool budget, knob-invariance of batched execution, per-script output
-// demultiplexing, and the SubmissionQueue front door.
+// demultiplexing (script_outputs[k] is script k's), and the pin API.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "api/engine.h"
-#include "api/submission_queue.h"
 #include "exec/spool_cache.h"
 #include "testing/script_gen.h"
 #include "workload/paper_scripts.h"
@@ -252,27 +251,6 @@ OUTPUT R TO "report.out";
   }
 }
 
-TEST(CrossQueryCacheTest, SubmissionQueueFlushPreservesTicketOrder) {
-  Engine engine(MakeExecutionCatalog(5000), SmallCluster());
-  SubmissionQueue queue(&engine, /*max_batch=*/32);
-  std::vector<std::string> scripts = SharedPairScripts();
-  EXPECT_EQ(queue.Enqueue(scripts[0]), 0u);
-  EXPECT_EQ(queue.Enqueue(scripts[1]), 1u);
-  EXPECT_EQ(queue.pending(), 2u);
-
-  auto flushed = queue.Flush();
-  ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
-  EXPECT_EQ(queue.pending(), 0u);
-  ASSERT_EQ(flushed->script_outputs.size(), 2u);
-  // Ticket k's outputs carry script k's paths.
-  EXPECT_EQ(flushed->script_outputs[0].count("a1.out"), 1u);
-  EXPECT_EQ(flushed->script_outputs[1].count("b1.out"), 1u);
-
-  auto empty = queue.Flush();
-  EXPECT_FALSE(empty.ok());
-  EXPECT_EQ(empty.status().code(), StatusCode::kFailedPrecondition);
-}
-
 // --- Pin API (fault-recovery re-reads vs eviction) ------------------------
 
 /// One partition of `rows` int64 cells tag*1000, tag*1000+1, ... (8 bytes
@@ -396,26 +374,6 @@ TEST(CrossQueryCacheTest, ConcurrentEvictionNeverInvalidatesPins) {
   stop.store(true, std::memory_order_relaxed);
   writer.join();
   anchor.Release();
-}
-
-TEST(CrossQueryCacheTest, SubmissionQueueAutoFlushesAtCapacity) {
-  Engine engine(MakeExecutionCatalog(5000), SmallCluster());
-  SubmissionQueue queue(&engine, /*max_batch=*/2);
-  std::vector<std::string> scripts = SharedPairScripts();
-  queue.Enqueue(scripts[0]);
-  queue.Enqueue(scripts[1]);
-  EXPECT_EQ(queue.pending(), 2u);
-  EXPECT_TRUE(queue.TakeAutoFlushed().empty());
-
-  // The enqueue that would exceed max_batch flushes the full queue first,
-  // then admits the newcomer with a fresh ticket 0.
-  EXPECT_EQ(queue.Enqueue(scripts[0]), 0u);
-  EXPECT_EQ(queue.pending(), 1u);
-  auto flushed = queue.TakeAutoFlushed();
-  ASSERT_EQ(flushed.size(), 1u);
-  ASSERT_TRUE(flushed[0].ok()) << flushed[0].status().ToString();
-  EXPECT_EQ(flushed[0]->script_outputs.size(), 2u);
-  EXPECT_TRUE(queue.TakeAutoFlushed().empty());
 }
 
 }  // namespace

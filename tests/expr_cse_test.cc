@@ -1,9 +1,10 @@
 // Expression-level CSE (src/plan/expr_cse): structurally duplicate
-// ScalarExpr subtrees across one Compute stage's items must collapse to a
-// single shared-slot step — including operand-swapped '+'/'*' forms via
-// commutative canonicalization — while end-to-end execution still computes
-// the reference evaluator's outputs (the pass may only change how often a
-// subtree is evaluated, never any produced value).
+// ScalarExpr subtrees across one Compute stage's items (a one-stage
+// pipeline schedule) must collapse to a single shared-slot step —
+// including operand-swapped '+'/'*' forms via commutative canonicalization
+// — while end-to-end execution still computes the reference evaluator's
+// outputs (the pass may only change how often a subtree is evaluated,
+// never any produced value).
 
 #include "plan/expr_cse.h"
 
@@ -31,7 +32,19 @@ ComputeItem Item(ScalarExprPtr expr, ColumnId out) {
   return item;
 }
 
-int CountBinarySteps(const ExprSchedule& sched) {
+/// The schedule of one Compute: a one-stage chain over `items`.
+PipelineSchedule ComputeSchedule(const std::vector<ComputeItem>& items) {
+  PipelineStageDesc desc;
+  desc.items = &items;
+  return BuildPipelineSchedule({desc});
+}
+
+/// The step producing each item of a one-stage schedule.
+const std::vector<int>& ItemSteps(const PipelineSchedule& sched) {
+  return sched.stages[0].out_steps;
+}
+
+int CountBinarySteps(const PipelineSchedule& sched) {
   int n = 0;
   for (const ExprStep& s : sched.steps) {
     if (s.kind == ScalarExpr::Kind::kBinary) ++n;
@@ -43,11 +56,10 @@ TEST(ExprCseTest, PassthroughItemsShareColumnSteps) {
   // Two items forwarding the same column: one kColumn step, no duplicates
   // counted (only binary memo hits count as eliminations).
   auto a = ScalarExpr::Column(1);
-  ExprSchedule sched = BuildExprSchedule({Item(a, 10), Item(a, 11)});
-  ASSERT_EQ(sched.item_steps.size(), 2u);
-  EXPECT_EQ(sched.item_steps[0], sched.item_steps[1]);
+  PipelineSchedule sched = ComputeSchedule({Item(a, 10), Item(a, 11)});
+  ASSERT_EQ(ItemSteps(sched).size(), 2u);
+  EXPECT_EQ(ItemSteps(sched)[0], ItemSteps(sched)[1]);
   EXPECT_EQ(sched.duplicates_eliminated, 0);
-  EXPECT_FALSE(sched.HasSharing());
 }
 
 TEST(ExprCseTest, DuplicateSubtreeEvaluatedOnce) {
@@ -60,22 +72,21 @@ TEST(ExprCseTest, DuplicateSubtreeEvaluatedOnce) {
   auto x = ScalarExpr::Binary(BinOp::kMul, ab, ab);
   auto ab2 = ScalarExpr::Binary(BinOp::kAdd, a, b);  // distinct tree object
   auto y = ScalarExpr::Binary(BinOp::kMul, ab2, c);
-  ExprSchedule sched = BuildExprSchedule({Item(x, 10), Item(y, 11)});
+  PipelineSchedule sched = ComputeSchedule({Item(x, 10), Item(y, 11)});
 
   // Binary steps: one (A+B), one *, one * — the three duplicate uses of
   // (A+B) fold into one step.
   EXPECT_EQ(CountBinarySteps(sched), 3);
   // Memo hits: x's rhs (A+B), and y's lhs (A+B) = 2. (x's lhs built it.)
   EXPECT_EQ(sched.duplicates_eliminated, 2);
-  EXPECT_TRUE(sched.HasSharing());
 
   // The two items map to distinct multiply steps sharing one operand.
-  ASSERT_EQ(sched.item_steps.size(), 2u);
-  const ExprStep& sx = sched.steps[sched.item_steps[0]];
-  const ExprStep& sy = sched.steps[sched.item_steps[1]];
+  ASSERT_EQ(ItemSteps(sched).size(), 2u);
+  const ExprStep& sx = sched.steps[ItemSteps(sched)[0]];
+  const ExprStep& sy = sched.steps[ItemSteps(sched)[1]];
   EXPECT_EQ(sx.lhs, sx.rhs);      // (A+B)*(A+B): both operands one step
   EXPECT_EQ(sy.lhs, sx.lhs);      // y reuses the same (A+B) step
-  EXPECT_NE(sched.item_steps[0], sched.item_steps[1]);
+  EXPECT_NE(ItemSteps(sched)[0], ItemSteps(sched)[1]);
 }
 
 TEST(ExprCseTest, CommutativeOperandsCanonicalize) {
@@ -84,25 +95,25 @@ TEST(ExprCseTest, CommutativeOperandsCanonicalize) {
   auto b = ScalarExpr::Column(2);
   auto ab = ScalarExpr::Binary(BinOp::kAdd, a, b);
   auto ba = ScalarExpr::Binary(BinOp::kAdd, b, a);
-  ExprSchedule add = BuildExprSchedule({Item(ab, 10), Item(ba, 11)});
-  EXPECT_EQ(add.item_steps[0], add.item_steps[1]);
+  PipelineSchedule add = ComputeSchedule({Item(ab, 10), Item(ba, 11)});
+  EXPECT_EQ(ItemSteps(add)[0], ItemSteps(add)[1]);
   EXPECT_EQ(add.duplicates_eliminated, 1);
 
-  ExprSchedule mul = BuildExprSchedule(
+  PipelineSchedule mul = ComputeSchedule(
       {Item(ScalarExpr::Binary(BinOp::kMul, a, b), 10),
        Item(ScalarExpr::Binary(BinOp::kMul, b, a), 11)});
-  EXPECT_EQ(mul.item_steps[0], mul.item_steps[1]);
+  EXPECT_EQ(ItemSteps(mul)[0], ItemSteps(mul)[1]);
 
-  ExprSchedule sub = BuildExprSchedule(
+  PipelineSchedule sub = ComputeSchedule(
       {Item(ScalarExpr::Binary(BinOp::kSub, a, b), 10),
        Item(ScalarExpr::Binary(BinOp::kSub, b, a), 11)});
-  EXPECT_NE(sub.item_steps[0], sub.item_steps[1]);
+  EXPECT_NE(ItemSteps(sub)[0], ItemSteps(sub)[1]);
   EXPECT_EQ(sub.duplicates_eliminated, 0);
 
-  ExprSchedule div = BuildExprSchedule(
+  PipelineSchedule div = ComputeSchedule(
       {Item(ScalarExpr::Binary(BinOp::kDiv, a, b), 10),
        Item(ScalarExpr::Binary(BinOp::kDiv, b, a), 11)});
-  EXPECT_NE(div.item_steps[0], div.item_steps[1]);
+  EXPECT_NE(ItemSteps(div)[0], ItemSteps(div)[1]);
 }
 
 TEST(ExprCseTest, LiteralsDedupByValueAndType) {
@@ -111,16 +122,16 @@ TEST(ExprCseTest, LiteralsDedupByValueAndType) {
   auto a = ScalarExpr::Column(1);
   auto two_int = ScalarExpr::Literal(Value::Int(2));
   auto two_real = ScalarExpr::Literal(Value::Real(2.0));
-  ExprSchedule same = BuildExprSchedule(
+  PipelineSchedule same = ComputeSchedule(
       {Item(ScalarExpr::Binary(BinOp::kAdd, a, two_int), 10),
        Item(ScalarExpr::Binary(BinOp::kAdd, a, two_int), 11)});
-  EXPECT_EQ(same.item_steps[0], same.item_steps[1]);
+  EXPECT_EQ(ItemSteps(same)[0], ItemSteps(same)[1]);
   EXPECT_EQ(same.duplicates_eliminated, 1);
 
-  ExprSchedule mixed = BuildExprSchedule(
+  PipelineSchedule mixed = ComputeSchedule(
       {Item(ScalarExpr::Binary(BinOp::kAdd, a, two_int), 10),
        Item(ScalarExpr::Binary(BinOp::kAdd, a, two_real), 11)});
-  EXPECT_NE(mixed.item_steps[0], mixed.item_steps[1]);
+  EXPECT_NE(ItemSteps(mixed)[0], ItemSteps(mixed)[1]);
   EXPECT_EQ(mixed.duplicates_eliminated, 0);
 }
 
@@ -130,7 +141,7 @@ TEST(ExprCseTest, StepsAreInDependencyOrder) {
   auto ab = ScalarExpr::Binary(BinOp::kAdd, a, b);
   auto nested = ScalarExpr::Binary(
       BinOp::kMul, ScalarExpr::Binary(BinOp::kSub, ab, a), ab);
-  ExprSchedule sched = BuildExprSchedule({Item(nested, 10)});
+  PipelineSchedule sched = ComputeSchedule({Item(nested, 10)});
   for (size_t i = 0; i < sched.steps.size(); ++i) {
     const ExprStep& s = sched.steps[i];
     if (s.kind == ScalarExpr::Kind::kBinary) {

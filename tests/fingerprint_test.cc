@@ -43,6 +43,19 @@ OUTPUT A2 TO "a.out";
 OUTPUT B2 TO "b.out";
 )";
 
+// Two identical chains (extract -> aggregate -> aggregate), each with its
+// own output: the shape two identical scripts take in a merged batch memo.
+const char kTwoIdenticalChains[] = R"(
+A0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
+A1 = SELECT A,B,Sum(D) AS S FROM A0 GROUP BY A,B;
+A2 = SELECT A,Sum(S) AS T FROM A1 GROUP BY A;
+B0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
+B1 = SELECT A,B,Sum(D) AS S FROM B0 GROUP BY A,B;
+B2 = SELECT A,Sum(S) AS T FROM B1 GROUP BY A;
+OUTPUT A2 TO "a.out";
+OUTPUT B2 TO "b.out";
+)";
+
 // Structurally different aggregates over the same extract: same Def. 1
 // fingerprint (payload excluded) but NOT equal — must not merge.
 const char kCollidingScript[] = R"(
@@ -203,6 +216,32 @@ TEST(Algorithm1Test, PayloadSeasoningSeparatesColliders) {
   CseIdentifyResult r1 = IdentifyCommonSubexpressions(&m1, with);
   EXPECT_EQ(r1.merged, 0);
   (void)seasoned;
+}
+
+TEST(Algorithm1Test, PruningKeepsOnlyTheMaximalSharedChain) {
+  // Without pruning, the merge leaves a spool at each of the chain's three
+  // levels, the two interior ones feeding a single consumer.
+  Memo plain = MemoOf(kTwoIdenticalChains);
+  CseIdentifyResult r0 = IdentifyCommonSubexpressions(&plain, {});
+  EXPECT_EQ(r0.merged, 3);
+  EXPECT_EQ(r0.pruned_spools, 0);
+  EXPECT_EQ(r0.spool_groups.size(), 3u);
+
+  // With pruning (the batch path's setting), only the top of the chain —
+  // the spool read by both outputs — survives.
+  Memo memo = MemoOf(kTwoIdenticalChains);
+  CseIdentifyOptions opts;
+  opts.prune_single_consumer_spools = true;
+  CseIdentifyResult r = IdentifyCommonSubexpressions(&memo, opts);
+  EXPECT_EQ(r.merged, 3);
+  EXPECT_EQ(r.pruned_spools, 2);
+  ASSERT_EQ(r.spool_groups.size(), 1u);
+  const GroupId spool = r.spool_groups[0];
+  EXPECT_EQ(CountShared(memo), 1);
+  EXPECT_EQ(memo.ParentsOf(spool).size(), 2u);
+  const GroupExpr& e = memo.group(spool).initial_expr();
+  ASSERT_EQ(e.op->kind(), LogicalOpKind::kSpool);
+  EXPECT_EQ(memo.group(e.children[0]).initial_expr().op->result_name, "A2");
 }
 
 TEST(Algorithm1Test, S3FindsTwoSharedGroups) {

@@ -245,16 +245,19 @@ int Main(int argc, char** argv) {
     }
   }
 
+  // Every check counts: corpus replays, replayed seeds and generated cases.
+  const long replayed = static_cast<long>(replays.size() + replay_seeds.size());
+  const long checked = replayed + iters;
   if (failures > 0) {
-    std::fprintf(stderr, "scx_fuzz: %d failure%s over %ld iterations\n",
-                 failures, failures == 1 ? "" : "s", iters);
+    std::fprintf(stderr, "scx_fuzz: %d failure%s over %ld checks\n",
+                 failures, failures == 1 ? "" : "s", checked);
     return 1;
   }
   if (!quiet) {
     std::printf(
-        "scx_fuzz: all %ld scripts passed (seed %llu, %d machines, %d "
-        "threads)\n",
-        iters, static_cast<unsigned long long>(base_seed),
+        "scx_fuzz: all %ld checks passed (%ld replayed, %ld generated; seed "
+        "%llu, %d machines, %d threads)\n",
+        checked, replayed, iters, static_cast<unsigned long long>(base_seed),
         harness_opts.machines, harness_opts.threads);
   }
   return 0;
